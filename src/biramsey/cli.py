@@ -1,11 +1,12 @@
 """Batch command line for reproducible experiments.
 
 Subcommands: construct | solve | oracle | lowerbound | bound | verify |
-atlas.  All results go to standard output in plain text or CSV; progress
-chatter goes to standard error, so stdout stays machine-readable.  A fixed
-default seed makes bare invocations reproducible, and output is
-byte-identical across --threads settings (enumeration work is merged
-deterministically).
+atlas.  All results go to standard output in plain text or CSV; standard
+error carries only errors and atlas's ``# violations=`` line.  A fixed
+default seed makes bare invocations reproducible.  The oracle scans a cell
+in one process in a fixed (placement, assignment code) order, so output is
+byte-identical whatever --threads says (accepted for compatibility).  Exit
+codes: 0 success, 1 a certificate claim failed, 2 a usage or input error.
 
 The environment variable RAMSEY_BUDGET overrides the oracle enumeration
 budget (number of enumerated instances per cell).
@@ -17,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -28,15 +28,17 @@ from . import constructions as cons
 from .heuristics import mono_clique_trials, transitive_trials
 from .model import (
     BicoloredGraph,
+    Instance,
+    pair_count,
     parse_instance,
     serialize_instance,
 )
 from .solvers import (
     DEFAULT_ORACLE_BUDGET,
     BudgetExceeded,
+    _check_oracle_pre,
     max_mono_clique,
     max_transitive_set,
-    oracle_budget_estimate,
     oracle_cell_slice,
 )
 
@@ -52,7 +54,6 @@ class RunConfig:
     subcommand: str
     seed: int = DEFAULT_SEED
     trials: int = 100
-    threads: int = 1
     budget: int = DEFAULT_ORACLE_BUDGET
     out_dir: Path = Path(".")
     instances: list[Path] = field(default_factory=list)
@@ -71,7 +72,6 @@ class RunConfig:
             subcommand=args.subcommand,
             seed=getattr(args, "seed", DEFAULT_SEED),
             trials=getattr(args, "trials", 100),
-            threads=getattr(args, "threads", 1),
             budget=budget,
             out_dir=getattr(args, "out", Path(".")),
             instances=[Path(p) for p in paths],
@@ -79,35 +79,13 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# oracle cells, optionally fanned out over placements
+# oracle cells
 
 
-def _oracle_cell(n: int, m: int, family: str, budget: int, threads: int) -> tuple[int, str]:
-    estimate = oracle_budget_estimate(n, m)
-    if n * (n - 1) // 2 > 15 or estimate > budget:
-        raise BudgetExceeded(
-            f"cell (n={n}, m={m}) needs {estimate} enumerated instances over "
-            f"C({n},2)={n * (n - 1) // 2} pair slots; cap is C(n,2) <= 15 and "
-            f"budget {budget}",
-            estimate=estimate,
-        )
-    placements = comb(n * (n - 1) // 2, m)
-    if threads <= 1 or placements < 4 * threads:
-        value, _, text = oracle_cell_slice(n, m, family, 0, placements)
-        return value, text
-    chunk = -(-placements // (threads * 4))
-    jobs = [
-        (n, m, family, start, min(start + chunk, placements))
-        for start in range(0, placements, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_slice_worker, jobs))
-    best = min(results, key=lambda r: (r[0], r[1]))
-    return best[0], best[2]
-
-
-def _slice_worker(job: tuple[int, int, str, int, int]) -> tuple[int, int, str]:
-    return oracle_cell_slice(*job)
+def _oracle_cell(n: int, m: int, family: str, budget: int) -> tuple[int, str]:
+    _check_oracle_pre(n, m, budget)
+    value, _, text = oracle_cell_slice(n, m, family, 0, comb(pair_count(n), m))
+    return value, text
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +184,7 @@ def _cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     values: dict[str, tuple[int, Path]] = {}
     for family, label in families:
-        value, text = _oracle_cell(args.n, args.m, family, config.budget, config.threads)
+        value, text = _oracle_cell(args.n, args.m, family, config.budget)
         path = config.out_dir / f"oracle_n{args.n}_m{args.m}_{family}.txt"
         path.write_text(text)
         values[label] = (value, path)
@@ -334,13 +312,28 @@ def _bound_atlas(n_max: int, m_max: "int | None") -> None:
             print(",".join(row))
 
 
+def _load_certificate(cert_path: Path) -> tuple[dict, Instance]:
+    """A certificate's payload and instance; ValueError on malformed input."""
+    payload = json.loads(cert_path.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{cert_path}: certificate is not a JSON object")
+    for key, kind in (("instance_file", str), ("claimed_m", int), ("claimed_bound", int)):
+        if key not in payload:
+            raise ValueError(f"{cert_path}: certificate lacks {key}")
+        if type(payload[key]) is not kind:
+            raise ValueError(f"{cert_path}: {key} is not of type {kind.__name__}")
+    name = payload["instance_file"]
+    base = cert_path.parent.resolve()
+    target = (base / name).resolve()
+    if Path(name).is_absolute() or not target.is_relative_to(base):
+        raise ValueError(f"{cert_path}: instance_file {name!r} lies outside its directory")
+    return payload, parse_instance(target.read_text())
+
+
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     all_ok = True
     for cert_path in config.instances:
-        payload = json.loads(cert_path.read_text())
-        instance = parse_instance(
-            (cert_path.parent / payload["instance_file"]).read_text()
-        )
+        payload, instance = _load_certificate(cert_path)
         failures = cons.verify_claims(
             instance,
             payload["claimed_m"],
@@ -366,12 +359,13 @@ def _cmd_atlas(args: argparse.Namespace, config: RunConfig) -> int:
         top = total if args.m_max is None else min(args.m_max, total)
         prev_f = prev_F = None
         for m in range(top + 1):
-            if total > 15 or oracle_budget_estimate(n, m) > budget:
+            try:
+                f_val, _ = _oracle_cell(n, m, "coloring", budget)
+                big_f, _ = _oracle_cell(n, m, "digraph", budget)
+            except BudgetExceeded:
                 print(f"{n},{m},,,skipped-budget")
                 prev_f = prev_F = None
                 continue
-            f_val, _ = _oracle_cell(n, m, "coloring", budget, config.threads)
-            big_f, _ = _oracle_cell(n, m, "digraph", budget, config.threads)
             violations: list[str] = []
             if m <= n:
                 if f_val != n - m // 2:
@@ -499,7 +493,7 @@ def cli_main(argv: "list[str] | None" = None) -> int:
         cons.ClassSizeMismatch,
         bounds_mod.ParameterOutOfRange,
         bounds_mod.DegenerateDensity,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

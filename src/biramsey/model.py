@@ -388,7 +388,8 @@ def parse_instance(text: str) -> Instance:
     states: list = []
     seen: list[bool] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -406,6 +407,9 @@ def parse_instance(text: str) -> Instance:
             if n < 1:
                 raise InvalidHeader("vertex count must be at least 1", line_no, raw)
             header = (line_no, family)
+            unlisted = pair_count(n) - (len(lines) - line_no)
+            if unlisted > 0:  # caught before C(n, 2) slots are allocated
+                raise MissingPair(f"at least {unlisted} pairs never listed", line_no, raw)
             states = [None] * pair_count(n)
             seen = [False] * pair_count(n)
             continue

@@ -8,7 +8,8 @@
 * :func:`brute_force_f` / :func:`brute_force_F` - the worst-case values
   f(n, m) and F(n, m): minimum over every placement of m unicolored /
   one-way pairs and every color / orientation assignment of the maximum
-  substructure, at tiny n.
+  substructure, at tiny n.  A numpy scan scores blocks of instances held
+  as pair bitmasks, independent of the branch-and-bound searches.
 
 All searches are deterministic; ties between optimal witnesses break to
 the lexicographically smallest vertex set (and red before blue), so
@@ -19,9 +20,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
+
+import numpy as np
 
 from .model import (
     ArcState,
@@ -34,6 +37,7 @@ from .model import (
     Witness,
     iter_pairs,
     pair_count,
+    pair_index,
     serialize_instance,
 )
 
@@ -58,7 +62,6 @@ __all__ = [
 CLIQUE_SIZE_CAP = 64
 TRANSITIVE_SIZE_CAP = 40
 DEFAULT_ORACLE_BUDGET = 10**8
-_ORACLE_PAIR_CAP = 15  # C(n,2) cap for exhaustive enumeration
 
 
 class SizeLimitExceeded(ValueError):
@@ -149,10 +152,10 @@ class _CliqueSolver:
             out |= 1 << self._to_int[v]
         return out
 
-    def max_size(self, candidates: int | None = None, at_least: int = 0) -> int:
+    def max_size(self, candidates: int | None = None) -> int:
         """Size of a maximum clique inside ``candidates`` (original labels)."""
         cand = self._translate(candidates) if candidates is not None else (1 << self.n) - 1
-        self._best = at_least
+        self._best = 0
         if cand:
             self._expand(cand, 0)
         return self._best
@@ -236,15 +239,6 @@ def max_mono_clique(graph: BicoloredGraph, size_cap: int = CLIQUE_SIZE_CAP) -> S
         witness = MonoCliqueWitness(vertices, EdgeColor.BLUE)
         size = blue_size
     return SolveResult(size, witness, red.nodes + blue.nodes)
-
-
-def _max_mono_clique_size(graph: BicoloredGraph) -> tuple[int, int]:
-    """(size, nodes) without witness extraction; oracle inner loop."""
-    red = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.RED))
-    blue = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.BLUE))
-    r = red.max_size()
-    b = blue.max_size(at_least=r)
-    return max(r, b), red.nodes + blue.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +526,6 @@ def max_transitive_set(
     return SolveResult(len(vertices), witness, solver.nodes)
 
 
-def _max_transitive_size(digraph: SemicompleteDigraph) -> tuple[int, int]:
-    """(size, nodes) without witness extraction; oracle inner loop."""
-    out = _one_way_out_masks(digraph)
-    solver = _AcyclicSolver(digraph.n, out)
-    full = (1 << digraph.n) - 1
-    total = 0
-    for comp in _strongly_connected_components(digraph.n, out, full):
-        cnt = bin(comp).count("1")
-        total += cnt if cnt == 1 else solver.max_acyclic(comp)
-    return total, solver.nodes
-
-
 # ---------------------------------------------------------------------------
 # Witness checking (pure, no solver state)
 
@@ -645,6 +627,16 @@ def max_transitive_set_by_enumeration(digraph: SemicompleteDigraph) -> int:
 
 # ---------------------------------------------------------------------------
 # Exhaustive worst-case oracles
+#
+# A cell (n, m) is scanned in one fixed order: placements of the m unicolored
+# (one-way) pairs in lexicographic order, and for each placement every
+# assignment code 0 .. 2^m - 1 ascending, code bit b deciding the b-th placed
+# pair (1 = red / forward, 0 = blue / backward).  Each instance is held as
+# two pair bitmasks, (red, blue) or (forward, backward), and whole blocks of
+# instances are scored by one numpy pass.
+
+_ORACLE_PAIR_CAP = 15  # C(n,2) cap for exhaustive enumeration
+_ORACLE_BLOCK = 1 << 16  # instances per numpy pass; keeps peak memory flat
 
 
 def oracle_budget_estimate(n: int, m: int) -> int:
@@ -653,142 +645,149 @@ def oracle_budget_estimate(n: int, m: int) -> int:
     return comb(pair_count(n), m) * (2**m)
 
 
-def _enumerate_cell(
-    n: int,
-    m: int,
-    make_states: Callable[[tuple[int, ...], int], tuple],
-    build: Callable[[int, tuple], Instance],
-    solve_size: Callable[[Instance], tuple[int, int]],
-    placement_range: tuple[int, int] | None = None,
-) -> tuple[int, int, Instance]:
-    """Scan (a slice of) a cell; returns (value, first attainer index, instance).
-
-    The attainer index is global over the fixed enumeration order
-    (placements lexicographic, assignment codes ascending), so merges over
-    arbitrary slices reproduce the serial result.
-    """
-    total_pairs = pair_count(n)
-    best = n + 1
-    best_index = -1
-    best_instance: Instance | None = None
-    placements: Iterable = combinations(range(total_pairs), m)
-    start, stop = 0, None
-    if placement_range is not None:
-        start, stop = placement_range
-        from itertools import islice
-
-        placements = islice(placements, start, stop)
-    for p_idx, placement in enumerate(placements, start=start):
-        for code in range(1 << m):
-            states = make_states(placement, code)
-            instance = build(n, states)
-            size, _ = solve_size(instance)
-            if size < best:
-                best = size
-                best_index = p_idx * (1 << m) + code
-                best_instance = instance
-                if best == 1:
-                    break
-        if best == 1:
-            break
-    assert best_instance is not None
-    return best, best_index, best_instance
-
-
-def _coloring_states(n: int):
-    total = pair_count(n)
-
-    def make(placement: tuple[int, ...], code: int) -> tuple:
-        states = [EdgeColor.RED_BLUE] * total
-        for bit, idx in enumerate(placement):
-            states[idx] = EdgeColor.RED if code >> bit & 1 else EdgeColor.BLUE
-        return tuple(states)
-
-    return make
-
-
-def _digraph_states(n: int):
-    total = pair_count(n)
-
-    def make(placement: tuple[int, ...], code: int) -> tuple:
-        states = [ArcState.BIORIENTED] * total
-        for bit, idx in enumerate(placement):
-            states[idx] = ArcState.FORWARD if code >> bit & 1 else ArcState.BACKWARD
-        return tuple(states)
-
-    return make
-
-
 def _check_oracle_pre(n: int, m: int, budget: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= m <= pair_count(n):
         raise ValueError(f"m={m} outside 0..C({n},2)")
-    if pair_count(n) > _ORACLE_PAIR_CAP:
-        raise BudgetExceeded(
-            f"C({n},2)={pair_count(n)} exceeds the oracle pair cap {_ORACLE_PAIR_CAP}",
-            estimate=oracle_budget_estimate(n, m),
-        )
     estimate = oracle_budget_estimate(n, m)
-    if estimate > budget:
+    if pair_count(n) > _ORACLE_PAIR_CAP or estimate > budget:
         raise BudgetExceeded(
-            f"cell (n={n}, m={m}) needs {estimate} solver calls, budget is {budget}",
+            f"cell (n={n}, m={m}) needs {estimate} enumerated instances over "
+            f"C({n},2)={pair_count(n)} pair slots; cap is C(n,2) <= {_ORACLE_PAIR_CAP} "
+            f"and budget {budget}",
             estimate=estimate,
         )
 
 
-def brute_force_f(n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleTable:
-    """Exhaustive worst-case monochromatic-clique value f(n, m)."""
-    _check_oracle_pre(n, m, budget)
-    value, _, instance = _enumerate_cell(
-        n,
-        m,
-        _coloring_states(n),
-        lambda nn, st: BicoloredGraph(nn, st),
-        lambda inst: _max_mono_clique_size(inst),
-    )
-    return OracleTable(n, m, value, serialize_instance(instance))
+def _block_masks(
+    family: str, positions: np.ndarray, full: np.generic
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair bitmasks of every instance of the placements in ``positions``
+    (one row of pair indices each), flattened in (placement, code) order:
+    (red, blue) for colorings, (forward, backward) for digraphs."""
+    bits = (1 << positions).astype(full.dtype)
+    placed = np.bitwise_or.reduce(bits, axis=1, keepdims=True)
+    assigned = np.zeros((len(positions), 1), dtype=full.dtype)  # placed pairs with code bit 1
+    for b in range(positions.shape[1]):
+        assigned = np.concatenate([assigned, assigned | bits[:, b : b + 1]], axis=1)
+    if family == "coloring":
+        return ((full ^ placed) | assigned).ravel(), (full ^ assigned).ravel()
+    return assigned.ravel(), (placed ^ assigned).ravel()
 
 
-def brute_force_F(n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleTable:
-    """Exhaustive worst-case transitive-subtournament value F(n, m)."""
-    _check_oracle_pre(n, m, budget)
-    value, _, instance = _enumerate_cell(
-        n,
-        m,
-        _digraph_states(n),
-        lambda nn, st: SemicompleteDigraph(nn, st),
-        lambda inst: _max_transitive_size(inst),
+def _mono_clique_sizes(n: int, red: np.ndarray, blue: np.ndarray, cap: int) -> np.ndarray:
+    """Largest monochromatic clique of every instance, clipped to ``cap``
+    and to one above the block's minimum, which keeps the first minimum.
+
+    A vertex set S is a red clique iff red covers its pair mask P_S.  Cliques
+    are hereditary, so the size is 1 plus the number of orders k >= 2 with
+    some monochromatic k-set.
+    """
+    sizes = np.ones(len(red), dtype=np.int8)
+    for k in range(2, min(n, cap) + 1):
+        found = np.zeros(len(red), dtype=bool)
+        for subset in combinations(range(n), k):
+            mask = sum(1 << pair_index(u, v, n) for u, v in combinations(subset, 2))
+            found |= (red & mask) == mask
+            found |= (blue & mask) == mask
+        sizes += found
+        if not found.all():
+            break
+    return sizes
+
+
+def _transitive_sizes(n: int, forward: np.ndarray, backward: np.ndarray, cap: int) -> np.ndarray:
+    """Largest transitive vertex set of every instance, clipped to ``cap``
+    and to one above the block's minimum, which keeps the first minimum.
+
+    Subset dynamic program: S is acyclic iff some v in S is a source of S
+    (no one-way arc from S \\ v into v) and S \\ v is acyclic.  Acyclicity is
+    hereditary, so the size is the number of orders k with an acyclic k-set.
+    """
+    vertex_dtype = np.min_scalar_type((1 << n) - 1)
+    into = [np.zeros(len(forward), dtype=vertex_dtype) for _ in range(n)]
+    for p, (u, v) in enumerate(iter_pairs(n)):
+        into[v] |= ((forward >> p) & 1).astype(vertex_dtype) << u
+        into[u] |= ((backward >> p) & 1).astype(vertex_dtype) << v
+    sizes = np.zeros(len(forward), dtype=np.int8)
+    acyclic = {0: np.ones(len(forward), dtype=bool)}
+    for k in range(1, min(n, cap) + 1):
+        level = {}
+        for subset in combinations(range(n), k):
+            s = sum(1 << v for v in subset)
+            ok = np.zeros(len(forward), dtype=bool)
+            for v in subset:
+                rest = s ^ (1 << v)
+                ok |= acyclic[rest] & ((into[v] & rest) == 0)
+            level[s] = ok
+        found = np.logical_or.reduce(list(level.values()))
+        sizes += found
+        if not found.all():
+            break
+        acyclic = level
+    return sizes
+
+
+_SCORERS = {"coloring": _mono_clique_sizes, "digraph": _transitive_sizes}
+
+
+def _cell_instance(n: int, family: str, placement: tuple[int, ...], code: int) -> Instance:
+    """Instance ``code`` of a placement in the oracle's enumeration."""
+    kind, free, one, zero = (
+        (BicoloredGraph, EdgeColor.RED_BLUE, EdgeColor.RED, EdgeColor.BLUE)
+        if family == "coloring"
+        else (SemicompleteDigraph, ArcState.BIORIENTED, ArcState.FORWARD, ArcState.BACKWARD)
     )
-    return OracleTable(n, m, value, serialize_instance(instance))
+    states = [free] * pair_count(n)
+    for bit, idx in enumerate(placement):
+        states[idx] = one if code >> bit & 1 else zero
+    return kind(n, tuple(states))
 
 
 def oracle_cell_slice(
     n: int, m: int, family: str, start: int, stop: int
 ) -> tuple[int, int, str]:
-    """Worker entry for parallel oracle runs: scan placements [start, stop).
+    """Scan placements [start, stop) of cell (n, m) for ``family``
+    ("coloring" or "digraph").
 
-    Returns (value, global attainer index, serialized instance); merging by
-    (value, index) minimum reproduces the serial scan exactly.
+    Returns (value, global attainer index, serialized instance): the
+    smallest maximum substructure over the slice and the first instance in
+    (placement, code) order attaining it, indexed over the whole cell as
+    placement * 2^m + code.
     """
-    if family == "coloring":
-        value, idx, inst = _enumerate_cell(
-            n,
-            m,
-            _coloring_states(n),
-            lambda nn, st: BicoloredGraph(nn, st),
-            lambda inst: _max_mono_clique_size(inst),
-            placement_range=(start, stop),
-        )
-    elif family == "digraph":
-        value, idx, inst = _enumerate_cell(
-            n,
-            m,
-            _digraph_states(n),
-            lambda nn, st: SemicompleteDigraph(nn, st),
-            lambda inst: _max_transitive_size(inst),
-            placement_range=(start, stop),
-        )
-    else:
+    if family not in _SCORERS:
         raise ValueError(f"unknown family {family!r}")
-    return value, idx, serialize_instance(inst)
+    placements = list(islice(combinations(range(pair_count(n)), m), start, stop))
+    if not placements:
+        raise ValueError(f"placement slice [{start}, {stop}) of cell (n={n}, m={m}) is empty")
+    positions = np.array(placements, dtype=np.int64).reshape(len(placements), m)
+    full_mask = (1 << pair_count(n)) - 1
+    full = np.min_scalar_type(full_mask).type(full_mask)
+    per_block = max(1, _ORACLE_BLOCK >> m)
+    best, best_index = n + 1, -1
+    for lo in range(0, len(placements), per_block):
+        first, second = _block_masks(family, positions[lo : lo + per_block], full)
+        sizes = _SCORERS[family](n, first, second, best)
+        i = int(sizes.argmin())
+        if sizes[i] < best:
+            best, best_index = int(sizes[i]), (lo << m) + i
+    row, code = divmod(best_index, 1 << m)
+    instance = _cell_instance(n, family, placements[row], code)
+    return best, ((start + row) << m) + code, serialize_instance(instance)
+
+
+def _brute_force(n: int, m: int, family: str, budget: int) -> OracleTable:
+    _check_oracle_pre(n, m, budget)
+    value, _, text = oracle_cell_slice(n, m, family, 0, comb(pair_count(n), m))
+    return OracleTable(n, m, value, text)
+
+
+def brute_force_f(n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleTable:
+    """Exhaustive worst-case monochromatic-clique value f(n, m)."""
+    return _brute_force(n, m, "coloring", budget)
+
+
+def brute_force_F(n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleTable:
+    """Exhaustive worst-case transitive-subtournament value F(n, m)."""
+    return _brute_force(n, m, "digraph", budget)

@@ -155,6 +155,8 @@ def test_atlas_skips_cells_beyond_the_pair_cap():
 def test_argument_errors_exit_2(tmp_path):
     code, _, _ = run_cli(["oracle", "--n", "5"])  # missing --m
     assert code == 2
+    code, _, err = run_cli(["oracle", "--n", "4", "--m", "7", "--out", str(tmp_path)])
+    assert code == 2 and "outside 0..C(4,2)" in err
     code, _, err = run_cli(
         ["construct", "packing", "--n", "10", "--k", "2", "--out", str(tmp_path)]
     )
@@ -205,3 +207,32 @@ def test_oracle_thread_count_does_not_change_output(tmp_path, threads):
         f"F(5,4)=4 instance={tmp_path}/oracle_n5_m4_digraph.txt\n"
     )
     assert out == reference
+
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (lambda d: {"claimed_m": 1}, "lacks instance_file"),
+        (lambda d: [1, 2], "not a JSON object"),
+        (lambda d: {"instance_file": "packing_n9_k2.txt", "claimed_m": "6", "claimed_bound": 5},
+         "claimed_m is not of type int"),
+        (lambda d: {"instance_file": "../packing_n9_k2.txt", "claimed_m": 6, "claimed_bound": 5},
+         "lies outside its directory"),
+        (lambda d: {"instance_file": str(d / "packing_n9_k2.txt"), "claimed_m": 6,
+                    "claimed_bound": 5},
+         "lies outside its directory"),
+    ],
+)
+def test_verify_malformed_certificate_is_input_error(tmp_path, payload, message):
+    # exit codes: 0 verified, 1 a claim failed, 2 the input itself is bad;
+    # the instance exists both beside the certificate and one level up
+    run_cli(["construct", "packing", "--n", "9", "--k", "2", "--out", str(tmp_path)])
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    (inner / "packing_n9_k2.txt").write_text((tmp_path / "packing_n9_k2.txt").read_text())
+    cert = inner / "bad.cert.json"
+    cert.write_text(json.dumps(payload(tmp_path)))
+    code, _, err = run_cli(["verify", str(cert)])
+    assert code == 2
+    assert err.startswith("error:") and message in err

@@ -1,5 +1,6 @@
 """Data model: state maps, the family reduction, and the text format."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,15 @@ def test_parse_accepts_comments_and_reversed_pairs():
 def test_parse_errors(text, exc):
     with pytest.raises(exc):
         parse_instance(text)
+
+
+def test_parse_rejects_a_short_file_before_allocating_pairs():
+    # the header alone promises C(3000, 2) pair lines; none follow
+    start = time.perf_counter()
+    with pytest.raises(MissingPair) as info:
+        parse_instance("semi 3000\n")
+    assert time.perf_counter() - start < 0.5
+    assert "never listed" in str(info.value)
 
 
 def test_parse_error_names_line():
