@@ -40,8 +40,6 @@ from .heuristics import (
     caro_wei_run,
     expectation_aks,
     expectation_caro_wei,
-    mono_clique_lower,
-    transitive_lower,
 )
 from .constructions import (
     ConstructionCert,
@@ -94,8 +92,6 @@ __all__ = [
     "caro_wei_run",
     "expectation_aks",
     "expectation_caro_wei",
-    "mono_clique_lower",
-    "transitive_lower",
     "ConstructionCert",
     "ExtremalTournament",
     "blowup",

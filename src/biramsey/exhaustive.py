@@ -5,28 +5,31 @@ bit :func:`~biramsey.model.pair_index`(u, v) is 1 when the arc runs
 u -> v (ascending) and 0 when it runs v -> u.  Scanning all codes visits
 every labeled tournament exactly once.
 
-The scans rest on one fact: a vertex subset spans a transitive tournament
-iff none of its triangles is a directed 3-cycle.  Per triangle (i, j, k)
-with bits x = i<j, y = j<k, z = i<k, the triangle is cyclic iff x == y and
-x != z, which vectorizes over every code at once with numpy.
+A code is already the forward pair mask of the worst-case oracle's digraph
+encoding (its complement is the backward mask), so the scans are the
+m = C(n, 2) case of that oracle: blocks of ``solvers._ORACLE_BLOCK`` codes
+go through the oracle's subset dynamic program, which keeps peak memory
+flat.  The triangle criterion (a vertex subset spans a transitive
+tournament iff none of its triangles is a directed 3-cycle) remains only
+for the one-vertex extension to order SCAN_ORDER_CAP + 1.
 
 These scans are an independent route to the same quantities as the
-branch-and-bound solvers; the test suite cross-checks the two on samples.
+branch-and-bound solvers; the test suite cross-checks the two.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
 from .model import ArcState, SemicompleteDigraph, pair_count, pair_index
-from .solvers import BudgetExceeded
+from .solvers import _ORACLE_BLOCK, BudgetExceeded, _transitive_sizes
 
 __all__ = [
     "tournament_from_code",
     "tournament_to_code",
-    "transitive_subset_census",
     "min_max_transitive_over_tournaments",
     "tt_free_tournament_codes",
     "every_tournament_contains_tt",
@@ -53,44 +56,23 @@ def tournament_to_code(digraph: SemicompleteDigraph) -> int:
     return code
 
 
-def _transitive_triangle_masks(order: int) -> list[np.ndarray]:
-    """Per triangle, a bool vector over all codes: triangle is transitive."""
-    codes = np.arange(1 << pair_count(order), dtype=np.uint32)
-    bits = [((codes >> e) & 1).astype(np.bool_) for e in range(pair_count(order))]
-    masks = []
-    for i, j, k in combinations(range(order), 3):
-        x = bits[pair_index(i, j, order)]
-        y = bits[pair_index(j, k, order)]
-        z = bits[pair_index(i, k, order)]
-        cyclic = (x == y) & (x ^ z)
-        masks.append(~cyclic)
-    return masks
-
-
-def transitive_subset_census(order: int) -> dict[int, np.ndarray]:
-    """For each k >= 3, a bool vector over all codes: some k-subset is
-    transitive.  Order capped at :data:`SCAN_ORDER_CAP`."""
+def _check_scan_order(order: int) -> None:
     if order > SCAN_ORDER_CAP:
         raise BudgetExceeded(
             f"full scan at order {order} needs 2^{pair_count(order)} codes",
             estimate=1 << pair_count(order),
         )
-    if order < 3:
-        return {}
-    triangle_ok = _transitive_triangle_masks(order)
-    triangle_pos = {t: i for i, t in enumerate(combinations(range(order), 3))}
-    census: dict[int, np.ndarray] = {}
-    for k in range(3, order + 1):
-        acc = np.zeros(1 << pair_count(order), dtype=np.bool_)
-        for subset in combinations(range(order), k):
-            ok = triangle_ok[triangle_pos[subset[:3]]].copy()
-            for tri in combinations(subset, 3):
-                if tri == subset[:3]:
-                    continue
-                ok &= triangle_ok[triangle_pos[tri]]
-            acc |= ok
-        census[k] = acc
-    return census
+
+
+def _code_blocks(order: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(first code, forward masks, backward masks) of consecutive blocks of
+    every tournament code, in the oracle's digraph encoding."""
+    total = 1 << pair_count(order)
+    dtype = np.min_scalar_type(total - 1)
+    full = dtype.type(total - 1)
+    for lo in range(0, total, _ORACLE_BLOCK):
+        codes = np.arange(lo, min(lo + _ORACLE_BLOCK, total), dtype=dtype)
+        yield lo, codes, codes ^ full
 
 
 def min_max_transitive_over_tournaments(order: int) -> tuple[int, SemicompleteDigraph]:
@@ -100,27 +82,31 @@ def min_max_transitive_over_tournaments(order: int) -> tuple[int, SemicompleteDi
     This is the m = C(n, 2) cell of the worst-case table, computed by the
     bit-parallel route rather than per-instance solver calls.
     """
+    _check_scan_order(order)
     if order < 3:
         inst = tournament_from_code(0, max(order, 1))
         return order, inst
-    census = transitive_subset_census(order)
-    max_tt = np.full(1 << pair_count(order), 2, dtype=np.uint8)
-    for k in range(3, order + 1):
-        max_tt[census[k]] = k
-    value = int(max_tt.min())
-    code = int(np.flatnonzero(max_tt == value)[0])
-    return value, tournament_from_code(code, order)
+    best, best_code = order + 1, -1
+    for lo, forward, backward in _code_blocks(order):
+        sizes = _transitive_sizes(order, forward, backward, best)
+        i = int(sizes.argmin())
+        if sizes[i] < best:
+            best, best_code = int(sizes[i]), lo + i
+    return best, tournament_from_code(best_code, order)
 
 
 def tt_free_tournament_codes(order: int, k: int) -> np.ndarray:
     """Codes of every tournament of the given order with no transitive
     k-subset (labeled, no isomorphism reduction)."""
+    _check_scan_order(order)
     if k > order:
         return np.arange(1 << pair_count(order), dtype=np.int64)
     if k <= 2:
         return np.empty(0, dtype=np.int64)
-    census = transitive_subset_census(order)
-    return np.flatnonzero(~census[k])
+    return np.concatenate([
+        np.flatnonzero(_transitive_sizes(order, forward, backward, k) < k) + lo
+        for lo, forward, backward in _code_blocks(order)
+    ])
 
 
 def _subset_is_transitive(code: int, subset: tuple[int, ...], order: int) -> bool:

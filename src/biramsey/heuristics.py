@@ -20,7 +20,6 @@ All expectations are exact rationals; guarantee comparisons are decidable.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -36,6 +35,7 @@ from .model import (
     TransitiveWitness,
     iter_pairs,
 )
+from .solvers import _one_way_out_masks, _topological_order
 
 __all__ = [
     "SimpleGraph",
@@ -48,8 +48,6 @@ __all__ = [
     "expectation_aks",
     "expected_run_size",
     "permutation_average_size",
-    "mono_clique_lower",
-    "transitive_lower",
     "mono_clique_trials",
     "transitive_trials",
     "blue_edge_graph",
@@ -323,14 +321,6 @@ def mono_clique_trials(
     return MonoCliqueWitness(best, witness_color), stats
 
 
-def mono_clique_lower(
-    coloring: BicoloredGraph, trials: int, seed: int
-) -> MonoCliqueWitness:
-    """Clique witness from the best of ``trials`` seeded runs; always valid."""
-    witness, _ = mono_clique_trials(coloring, trials, seed)
-    return witness
-
-
 def transitive_trials(
     digraph: SemicompleteDigraph, trials: int, seed: int
 ) -> tuple[TransitiveWitness, TrialStats]:
@@ -342,38 +332,5 @@ def transitive_trials(
     graph = one_way_graph(digraph)
     best, mean = _best_of_trials(graph, trials, seed, 1)
     stats = TrialStats(trials, mean, expected_run_size(graph, 1), best)
-    order = _forest_topological_order(digraph, best)
+    order = _topological_order(best, _one_way_out_masks(digraph))
     return TransitiveWitness(best, order), stats
-
-
-def transitive_lower(
-    digraph: SemicompleteDigraph, trials: int, seed: int
-) -> TransitiveWitness:
-    """Transitive witness from the best of ``trials`` seeded runs."""
-    witness, _ = transitive_trials(digraph, trials, seed)
-    return witness
-
-
-def _forest_topological_order(
-    digraph: SemicompleteDigraph, vertices: tuple[int, ...]
-) -> tuple[int, ...]:
-    vs = set(vertices)
-    indeg = {v: 0 for v in vertices}
-    out: dict[int, list[int]] = {v: [] for v in vertices}
-    for tail, head in digraph.one_way_arcs():
-        if tail in vs and head in vs:
-            out[tail].append(head)
-            indeg[head] += 1
-    heap = [v for v in vertices if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for w in sorted(out[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != len(vertices):
-        raise ValueError("selected set does not induce acyclic one-way arcs")
-    return tuple(order)

@@ -35,7 +35,6 @@ __all__ = [
     "ArcState",
     "BicoloredGraph",
     "SemicompleteDigraph",
-    "Density",
     "Instance",
     "MonoCliqueWitness",
     "TransitiveWitness",
@@ -86,10 +85,6 @@ class ArcState(enum.Enum):
 
 _COLOR_BY_TOKEN = {c.value: c for c in EdgeColor}
 _ARC_BY_TOKEN = {a.value: a for a in ArcState}
-
-# densities are exact rationals, never floats: p = bicolored (bioriented)
-# pairs over C(n, 2), as returned by the instances' density() methods
-Density = Fraction
 
 # State maps of the reduction between the families: ascending arcs are red,
 # descending arcs are blue, bioriented pairs carry both colors.
@@ -147,10 +142,15 @@ class BicoloredGraph:
     @classmethod
     def from_map(cls, n: int, pairs: Mapping[tuple[int, int], EdgeColor]) -> "BicoloredGraph":
         states = [EdgeColor.RED_BLUE] * pair_count(n)
+        seen = set()
         for (u, v), color in pairs.items():
             if u > v:
                 u, v = v, u
-            states[pair_index(u, v, n)] = color
+            idx = pair_index(u, v, n)
+            if idx in seen:
+                raise ValueError(f"pair ({u}, {v}) listed twice")
+            seen.add(idx)
+            states[idx] = color
         return cls(n, tuple(states))
 
     def state(self, u: int, v: int) -> EdgeColor:
@@ -193,11 +193,16 @@ class SemicompleteDigraph:
     @classmethod
     def from_map(cls, n: int, pairs: Mapping[tuple[int, int], ArcState]) -> "SemicompleteDigraph":
         states = [ArcState.BIORIENTED] * pair_count(n)
+        seen = set()
         for (u, v), arc in pairs.items():
             if u > v:
                 u, v = v, u
                 arc = _flip(arc)
-            states[pair_index(u, v, n)] = arc
+            idx = pair_index(u, v, n)
+            if idx in seen:
+                raise ValueError(f"pair ({u}, {v}) listed twice")
+            seen.add(idx)
+            states[idx] = arc
         return cls(n, tuple(states))
 
     @classmethod

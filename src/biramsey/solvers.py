@@ -309,42 +309,16 @@ class _AcyclicSolver:
                         return best
         return best
 
-    def _is_acyclic(self, mask: int) -> bool:
-        # repeatedly peel vertices with no in-arcs inside the set
-        remaining = mask
-        while remaining:
-            peel = 0
-            m = remaining
-            while m:
-                bit = m & -m
-                m ^= bit
-                v = bit.bit_length() - 1
-                has_in = False
-                others = remaining & ~bit
-                o = others
-                while o:
-                    b2 = o & -o
-                    o ^= b2
-                    if self.out[b2.bit_length() - 1] >> v & 1:
-                        has_in = True
-                        break
-                if not has_in:
-                    peel |= bit
-            if not peel:
-                return False
-            remaining &= ~peel
-        return True
-
     def _greedy_incumbent(self, allowed: int, forced: int) -> int:
         """A feasible acyclic superset of ``forced`` built greedily, or -1."""
-        if not self._is_acyclic(forced):
+        if not _subset_is_acyclic(forced, self.out):
             return -1
         chosen = forced
         rest = allowed & ~forced
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if self._is_acyclic(chosen | bit):
+            if _subset_is_acyclic(chosen | bit, self.out):
                 chosen |= bit
         return chosen
 
@@ -677,54 +651,73 @@ def _block_masks(
 
 
 def _mono_clique_sizes(n: int, red: np.ndarray, blue: np.ndarray, cap: int) -> np.ndarray:
-    """Largest monochromatic clique of every instance, clipped to ``cap``
-    and to one above the block's minimum, which keeps the first minimum.
+    """Largest monochromatic clique of every instance, exact up to ``cap``:
+    a size of ``cap`` or more reads as ``cap`` (sizes up to 2 are always
+    exact).
 
-    A vertex set S is a red clique iff red covers its pair mask P_S.  Cliques
-    are hereditary, so the size is 1 plus the number of orders k >= 2 with
-    some monochromatic k-set.
+    A vertex set S is a red clique iff red covers its pair mask P_S.  Every
+    pair lies in red or blue, and cliques are hereditary, so the size is 2
+    plus the number of orders k >= 3 with some monochromatic k-set.
     """
-    sizes = np.ones(len(red), dtype=np.int8)
-    for k in range(2, min(n, cap) + 1):
+    sizes = np.full(len(red), min(n, 2), dtype=np.int8)
+    covered = np.empty_like(red)
+    hit = np.empty(len(red), dtype=bool)
+    for k in range(3, min(n, cap) + 1):
         found = np.zeros(len(red), dtype=bool)
         for subset in combinations(range(n), k):
             mask = sum(1 << pair_index(u, v, n) for u, v in combinations(subset, 2))
-            found |= (red & mask) == mask
-            found |= (blue & mask) == mask
-        sizes += found
-        if not found.all():
+            for color in (red, blue):
+                np.bitwise_and(color, mask, out=covered)
+                np.equal(covered, mask, out=hit)
+                found |= hit
+        if not found.any():
             break
+        sizes += found
     return sizes
 
 
 def _transitive_sizes(n: int, forward: np.ndarray, backward: np.ndarray, cap: int) -> np.ndarray:
-    """Largest transitive vertex set of every instance, clipped to ``cap``
-    and to one above the block's minimum, which keeps the first minimum.
+    """Largest transitive vertex set of every instance, exact up to ``cap``:
+    a size of ``cap`` or more reads as ``cap`` (sizes up to 2 are always
+    exact).
 
     Subset dynamic program: S is acyclic iff some v in S is a source of S
-    (no one-way arc from S \\ v into v) and S \\ v is acyclic.  Acyclicity is
-    hereditary, so the size is the number of orders k with an acyclic k-set.
+    (no one-way arc from S \\ v into v) and S \\ v is acyclic.  A one-way
+    digraph has at most one arc per pair, so every set of at most 2 vertices
+    is acyclic; acyclicity is hereditary, so the size is 2 plus the number
+    of orders k >= 3 with an acyclic k-set.
     """
     vertex_dtype = np.min_scalar_type((1 << n) - 1)
     into = [np.zeros(len(forward), dtype=vertex_dtype) for _ in range(n)]
+    arc = np.empty_like(forward)
     for p, (u, v) in enumerate(iter_pairs(n)):
-        into[v] |= ((forward >> p) & 1).astype(vertex_dtype) << u
-        into[u] |= ((backward >> p) & 1).astype(vertex_dtype) << v
-    sizes = np.zeros(len(forward), dtype=np.int8)
-    acyclic = {0: np.ones(len(forward), dtype=bool)}
-    for k in range(1, min(n, cap) + 1):
+        for mask, tail, head in ((forward, u, v), (backward, v, u)):
+            np.right_shift(mask, p, out=arc)
+            arc &= 1
+            arc <<= tail
+            into[head] |= arc
+    sizes = np.full(len(forward), min(n, 2), dtype=np.int8)
+    every = np.ones(len(forward), dtype=bool)
+    acyclic = {(1 << u) | (1 << v): every for u, v in iter_pairs(n)}
+    arcs_in = np.empty(len(forward), dtype=vertex_dtype)
+    source = np.empty(len(forward), dtype=bool)
+    for k in range(3, min(n, cap) + 1):
         level = {}
+        found = np.zeros(len(forward), dtype=bool)
         for subset in combinations(range(n), k):
             s = sum(1 << v for v in subset)
             ok = np.zeros(len(forward), dtype=bool)
             for v in subset:
                 rest = s ^ (1 << v)
-                ok |= acyclic[rest] & ((into[v] & rest) == 0)
+                np.bitwise_and(into[v], rest, out=arcs_in)
+                np.equal(arcs_in, 0, out=source)
+                source &= acyclic[rest]
+                ok |= source
             level[s] = ok
-        found = np.logical_or.reduce(list(level.values()))
-        sizes += found
-        if not found.all():
+            found |= ok
+        if not found.any():
             break
+        sizes += found
         acyclic = level
     return sizes
 

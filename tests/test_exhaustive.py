@@ -1,6 +1,5 @@
 """Bit-parallel tournament scans against the per-instance solver."""
 
-import numpy as np
 import pytest
 
 from biramsey.exhaustive import (
@@ -8,7 +7,6 @@ from biramsey.exhaustive import (
     min_max_transitive_over_tournaments,
     tournament_from_code,
     tournament_to_code,
-    transitive_subset_census,
     tt_free_tournament_codes,
 )
 from biramsey.solvers import (
@@ -33,14 +31,14 @@ def test_scan_agrees_with_oracle_at_order_4():
     assert max_transitive_set(inst).size == 3
 
 
-def test_census_matches_solver_on_sampled_codes():
-    census = transitive_subset_census(5)
-    rng = np.random.default_rng(11)
-    for code in rng.integers(0, 1 << 10, size=40).tolist():
-        d = tournament_from_code(int(code), 5)
-        expected = max_transitive_set(d).size
-        by_census = max(k for k in range(2, 6) if k == 2 or census[k][code])
-        assert by_census == expected
+def test_tt_free_codes_match_enumeration_on_every_order_5_code():
+    best = [
+        max_transitive_set_by_enumeration(tournament_from_code(code, 5))
+        for code in range(1 << 10)
+    ]
+    for k in range(3, 6):
+        free = set(tt_free_tournament_codes(5, k).tolist())
+        assert free == {code for code, size in enumerate(best) if size < k}
 
 
 def test_min_max_transitive_order_7_is_3():
@@ -58,6 +56,12 @@ def test_tt4_free_seven_tournaments():
         assert max_transitive_set(d).size == 3
 
 
+def test_tt5_free_seven_tournament_count():
+    # every code is scored exactly up to k = 5, whatever the other codes in
+    # its block score
+    assert tt_free_tournament_codes(7, 5).size == 545168
+
+
 def test_every_tournament_contains_tt():
     assert every_tournament_contains_tt(4, 3)  # 2^6 codes
     assert not every_tournament_contains_tt(3, 3)  # the directed triangle
@@ -68,6 +72,8 @@ def test_every_tournament_contains_tt():
 
 def test_scan_order_cap():
     with pytest.raises(BudgetExceeded):
-        transitive_subset_census(8)
+        tt_free_tournament_codes(8, 4)
+    with pytest.raises(BudgetExceeded):
+        min_max_transitive_over_tournaments(8)
     with pytest.raises(BudgetExceeded):
         every_tournament_contains_tt(9, 5)

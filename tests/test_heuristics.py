@@ -18,14 +18,13 @@ from biramsey.heuristics import (
     expected_run_size,
     induces_forest,
     is_independent_set,
-    mono_clique_lower,
     mono_clique_trials,
     one_way_graph,
     permutation_average_size,
     random_simple_graph,
     red_edge_graph,
     split_seed,
-    transitive_lower,
+    transitive_trials,
 )
 from biramsey.model import (
     BicoloredGraph,
@@ -149,7 +148,7 @@ def test_split_seed_reproduces_serial_results():
 
 def test_all_bicolored_returns_whole_vertex_set():
     g = BicoloredGraph(6, (EdgeColor.RED_BLUE,) * 15)
-    w = mono_clique_lower(g, 3, 1)
+    w = mono_clique_trials(g, 3, 1)[0]
     assert w.vertices == (0, 1, 2, 3, 4, 5)
     assert w.color is EdgeColor.RED  # tie in pure counts goes to a red witness
 
@@ -171,7 +170,7 @@ def test_witnesses_always_verify_on_200_random_colorings():
     for trial in range(200):
         n = int(rng.integers(2, 13))
         g = random_coloring(n, int(rng.integers(0, 2**31)))
-        w = mono_clique_lower(g, 4, int(rng.integers(0, 2**31)))
+        w = mono_clique_trials(g, 4, int(rng.integers(0, 2**31)))[0]
         assert verify_witness(g, w)
 
 
@@ -180,7 +179,7 @@ def test_transitive_witnesses_verify_on_random_digraphs():
     for trial in range(120):
         n = int(rng.integers(2, 13))
         d = random_semicomplete(n, int(rng.integers(0, 2**31)))
-        w = transitive_lower(d, 4, int(rng.integers(0, 2**31)))
+        w = transitive_trials(d, 4, int(rng.integers(0, 2**31)))[0]
         assert verify_witness(d, w)
 
 
@@ -188,7 +187,7 @@ def test_three_triangles_reach_known_optimum():
     from biramsey.constructions import triangle_digraph
 
     inst = triangle_digraph(9, 9).instance
-    w = transitive_lower(inst, 100, 5)
+    w = transitive_trials(inst, 100, 5)[0]
     assert len(w.vertices) == 6  # two per triangle under any permutation
 
 
@@ -232,4 +231,4 @@ def test_bridge_graphs():
 def test_trials_must_be_positive():
     g = random_coloring(5, 1)
     with pytest.raises(ValueError):
-        mono_clique_lower(g, 0, 1)
+        mono_clique_trials(g, 0, 1)

@@ -46,6 +46,15 @@ def test_state_accessor_symmetric():
     assert d.has_arc(0, 1) and d.has_arc(1, 0)  # bioriented default
 
 
+def test_from_map_rejects_a_pair_listed_twice():
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) listed twice"):
+        BicoloredGraph.from_map(3, {(0, 1): EdgeColor.RED, (1, 0): EdgeColor.BLUE})
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) listed twice"):
+        SemicompleteDigraph.from_map(3, {(0, 1): ArcState.FORWARD, (1, 0): ArcState.FORWARD})
+    d = SemicompleteDigraph.from_map(3, {(1, 0): ArcState.FORWARD, (1, 2): ArcState.BACKWARD})
+    assert d.state(0, 1) is ArcState.BACKWARD and d.state(1, 2) is ArcState.BACKWARD
+
+
 def test_m_accounting_exact():
     g = random_coloring(9, 5)
     assert g.unicolored_count + g.bicolored_count == pair_count(9)
