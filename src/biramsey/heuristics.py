@@ -15,6 +15,8 @@ arcs always has a topological order).
 
 Randomness: trial i draws its permutation from split(seed, i), a spawned
 numpy SeedSequence, so parallel trials reproduce serial results exactly.
+Best-of-trials scores its trials in numpy blocks on those same permutations,
+so its sets and means equal the one-trial-at-a-time rule.
 All expectations are exact rationals; guarantee comparisons are decidable.
 """
 
@@ -22,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .model import (
     TransitiveWitness,
     iter_pairs,
 )
-from .solvers import _one_way_out_masks, _topological_order
+from .solvers import _ORACLE_BLOCK, _one_way_out_masks, _topological_order
 
 __all__ = [
     "SimpleGraph",
@@ -91,12 +94,17 @@ class SimpleGraph:
             deg[v] += 1
         return deg
 
-    def adjacency(self) -> list[set[int]]:
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbor sets; built on first use and shared by later calls."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> tuple[frozenset[int], ...]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return adj
+        return tuple(map(frozenset, adj))
 
 
 class ExpectationBound(NamedTuple):
@@ -129,7 +137,7 @@ def _permutation(
 
 
 def _select_by_earlier_neighbors(
-    order: Sequence[int], adjacency: list[set[int]], max_earlier: int
+    order: Sequence[int], adjacency: Sequence[AbstractSet[int]], max_earlier: int
 ) -> tuple[int, ...]:
     seen: set[int] = set()
     selected: list[int] = []
@@ -277,27 +285,56 @@ def random_simple_graph(n: int, edge_probability: float, seed: int) -> SimpleGra
 # Best-of-trials lower-bound procedures
 
 
+def _kept_blocks(
+    graph: SimpleGraph, trials: int, seed: int, max_earlier: int
+) -> Iterator[np.ndarray]:
+    """Kept-vertex masks of the earlier-neighbor rule, one block at a time.
+
+    Yields bool arrays of shape (trials in block, n); row r of the block
+    starting at trial lo is :func:`_select_by_earlier_neighbors` on the
+    permutation drawn from split(seed, lo + r).  A block holds at most
+    ``_ORACLE_BLOCK`` trial x edge (or trial x vertex) entries.  Row r of
+    the rank matrix holds trial r's position of every vertex; each edge is
+    charged to its later endpoint, u + [rank u < rank v] (v - u), and one
+    bincount over the row-offset endpoints counts every vertex's earlier
+    neighbors.
+    """
+    n = graph.n
+    us, vs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2).T
+    per_block = max(1, _ORACLE_BLOCK // max(1, n, len(us)))
+    positions = np.arange(n, dtype=np.int32)
+    for lo in range(0, trials, per_block):
+        block = range(lo, min(lo + per_block, trials))
+        rank = np.empty((len(block), n), dtype=np.int32)
+        for row, i in zip(rank, block):
+            row[np.random.default_rng(split_seed(seed, i)).permutation(n)] = positions
+        later = (rank.take(us, axis=1) < rank.take(vs, axis=1)) * (vs - us)
+        later += us
+        later += (np.arange(len(block)) * n)[:, None]
+        earlier = np.bincount(later.ravel(), minlength=len(block) * n)
+        yield earlier.reshape(len(block), n) <= max_earlier
+
+
 def _best_of_trials(
     graph: SimpleGraph, trials: int, seed: int, max_earlier: int
 ) -> tuple[tuple[int, ...], Fraction]:
+    """Best kept set and mean kept size over ``trials`` seeded trials.
+
+    The best set is the largest, then the lexicographically smallest, the
+    same set a serial fold over the trials in order would keep.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    adjacency = graph.adjacency()
-    best: tuple[int, ...] | None = None
+    best: tuple[int, ...] = ()
     total = 0
-    for i in range(trials):
-        run = _select_by_earlier_neighbors(
-            _permutation(graph.n, split_seed(seed, i)), adjacency, max_earlier
-        )
-        total += len(run)
-        # deterministic merge: larger size first, then lexicographically smaller
-        if (
-            best is None
-            or len(run) > len(best)
-            or (len(run) == len(best) and run < best)
-        ):
-            best = run
-    assert best is not None
+    for kept in _kept_blocks(graph, trials, seed, max_earlier):
+        sizes = kept.sum(axis=1)
+        total += int(sizes.sum())
+        top = int(sizes.max())
+        if top >= len(best):
+            run = min(tuple(np.flatnonzero(row).tolist()) for row in kept[sizes == top])
+            if top > len(best) or run < best:
+                best = run
     return best, Fraction(total, trials)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -448,7 +449,8 @@ def parse_instance(text: str) -> Instance:
 
     if header is None:
         raise InvalidHeader("empty input: missing header line")
-    missing = [p for p, ok in zip(iter_pairs(n), seen) if not ok]
+    # six are enough to print five and the ellipsis
+    missing = list(islice((p for p, ok in zip(iter_pairs(n), seen) if not ok), 6))
     if missing:
         raise MissingPair(f"pairs never listed: {missing[:5]}{'...' if len(missing) > 5 else ''}")
 

@@ -4,9 +4,18 @@ import io
 import json
 import contextlib
 
+import numpy as np
 import pytest
 
 from biramsey.cli import cli_main
+from biramsey.model import (
+    ArcState,
+    BicoloredGraph,
+    EdgeColor,
+    SemicompleteDigraph,
+    pair_count,
+    serialize_instance,
+)
 
 
 def run_cli(argv):
@@ -89,6 +98,51 @@ def test_lowerbound_reports_stats(tmp_path):
     assert code == 0
     assert "best_size=6" in out
     assert "guarantee=6" in out
+
+
+def _half_unicolored(family, seed, n=64):
+    """Seeded instance with C(n, 2) / 2 unicolored resp. one-way pairs."""
+    rng = np.random.default_rng(seed)
+    total = pair_count(n)
+    picked = rng.choice(total, size=total // 2, replace=False)
+    draws = np.zeros(total, dtype=np.int64)
+    draws[picked] = rng.integers(1, 3, size=total // 2)
+    if family == "bichrome":
+        choices = (EdgeColor.RED_BLUE, EdgeColor.RED, EdgeColor.BLUE)
+        return BicoloredGraph(n, tuple(choices[d] for d in draws.tolist()))
+    choices = (ArcState.BIORIENTED, ArcState.FORWARD, ArcState.BACKWARD)
+    return SemicompleteDigraph(n, tuple(choices[d] for d in draws.tolist()))
+
+
+@pytest.mark.parametrize(
+    "family,seed,expected",
+    [
+        ("bichrome", 11, [
+            "best_size=7",
+            "witness=0,7,10,39,48,54,60",
+            "color=B",
+            "mean=1247/300",
+            "guarantee=1973943989/486748080",
+        ]),
+        ("semi", 12, [
+            "best_size=7",
+            "witness=3,5,15,23,41,52,60",
+            "order=41,52,3,23,60,15,5",
+            "mean=1201/300",
+            "guarantee=231470099084363/58075341924600",
+        ]),
+    ],
+)
+def test_lowerbound_golden_output(tmp_path, family, seed, expected):
+    # pinned from the per-trial selection loop; any scoring engine must
+    # reproduce it byte for byte
+    path = tmp_path / f"{family}.txt"
+    path.write_text(serialize_instance(_half_unicolored(family, seed)))
+    code, out, _ = run_cli(["lowerbound", str(path), "--trials", "300", "--seed", "7"])
+    assert code == 0
+    assert out.splitlines() == [
+        f"file={path} family={family} n=64 trials=300 seed=7", *expected
+    ]
 
 
 def test_bound_tables():

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biramsey import heuristics
 from biramsey.heuristics import (
     SimpleGraph,
+    _permutation,
+    _select_by_earlier_neighbors,
     aks_run,
     blue_edge_graph,
     caro_wei_run,
@@ -232,3 +235,63 @@ def test_trials_must_be_positive():
     g = random_coloring(5, 1)
     with pytest.raises(ValueError):
         mono_clique_trials(g, 0, 1)
+
+
+# --- block engine vs the serial selection rule --------------------------------
+
+
+def _differential_graphs():
+    rng = np.random.default_rng(2024)
+    graphs = [SimpleGraph.from_edges(n, []) for n in (1, 2, 17, 40)]
+    graphs += [
+        SimpleGraph.from_edges(n, combinations(range(n), 2)) for n in (1, 2, 17, 40)
+    ]
+    for _ in range(12):
+        n = int(rng.integers(1, 41))
+        p = float(rng.uniform(0.05, 0.95))
+        graphs.append(random_simple_graph(n, p, int(rng.integers(0, 2**31))))
+    return graphs
+
+
+def _serial_best_of_trials(g, trials, seed, max_earlier):
+    best, total = None, 0
+    adjacency = g.adjacency()
+    for i in range(trials):
+        run = _select_by_earlier_neighbors(
+            _permutation(g.n, split_seed(seed, i)), adjacency, max_earlier
+        )
+        total += len(run)
+        if best is None or len(run) > len(best) or (len(run) == len(best) and run < best):
+            best = run
+    return best, Fraction(total, trials)
+
+
+@pytest.mark.parametrize("block", [64, heuristics._ORACLE_BLOCK])
+@pytest.mark.parametrize("max_earlier", [0, 1])
+def test_block_engine_matches_serial_rule(monkeypatch, block, max_earlier):
+    # trial counts 1, one below and one above a block cover both boundaries
+    monkeypatch.setattr(heuristics, "_ORACLE_BLOCK", block)
+    for index, g in enumerate(_differential_graphs()):
+        per_block = max(1, block // max(1, g.n, g.edge_count))
+        if per_block > 200:
+            continue  # a block boundary this far out is covered at block=64
+        seed = 1000 + index
+        for trials in sorted({1, max(1, per_block - 1), per_block + 1}):
+            kept = np.concatenate(
+                list(heuristics._kept_blocks(g, trials, seed, max_earlier))
+            )
+            assert kept.shape == (trials, g.n)
+            adjacency = g.adjacency()
+            for i, row in enumerate(kept):
+                order = _permutation(g.n, split_seed(seed, i))
+                expected = _select_by_earlier_neighbors(order, adjacency, max_earlier)
+                assert tuple(np.flatnonzero(row).tolist()) == expected
+            assert heuristics._best_of_trials(
+                g, trials, seed, max_earlier
+            ) == _serial_best_of_trials(g, trials, seed, max_earlier)
+
+
+def test_adjacency_is_built_once():
+    g = random_simple_graph(12, 0.5, 4)
+    assert g.adjacency() is g.adjacency()
+    assert all(v in g.adjacency()[u] and u in g.adjacency()[v] for u, v in g.edges)

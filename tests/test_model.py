@@ -165,6 +165,23 @@ def test_parse_rejects_a_short_file_before_allocating_pairs():
     assert "never listed" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # C(300, 2) comment lines pass the early check; every pair is missing
+        ("bichrome 300\n" + "# pad\n" * pair_count(300),
+         "pairs never listed: [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]..."),
+        ("bichrome 4\n" + "# pad\n" * 5 + "0 1 R\n",
+         "pairs never listed: [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]"),
+        ("semi 3\n#\n#\n0 1 >\n", "pairs never listed: [(0, 2), (1, 2)]"),
+    ],
+)
+def test_parse_reports_at_most_five_missing_pairs(text, message):
+    with pytest.raises(MissingPair) as info:
+        parse_instance(text)
+    assert str(info.value) == message
+
+
 def test_parse_error_names_line():
     with pytest.raises(DuplicatePair) as info:
         parse_instance("semi 3\n0 1 >\n0 1 <\n0 2 >\n1 2 >\n")
