@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 from typing import Mapping
@@ -284,14 +284,25 @@ def blowup(
 # Extremal tournaments and their packings
 
 
-def _subset_has_cyclic_triangle(digraph: SemicompleteDigraph, subset: tuple[int, ...]) -> bool:
-    for a, b, c in combinations(subset, 3):
-        ab = digraph.has_arc(a, b)
-        bc = digraph.has_arc(b, c)
-        ca = digraph.has_arc(c, a)
-        if ab and bc and ca:
-            return True
-        if not (ab or bc or ca):
+def _arc_masks(digraph: SemicompleteDigraph) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks under ``has_arc``."""
+    out = [0] * digraph.n
+    into = [0] * digraph.n
+    for a, b in permutations(range(digraph.n), 2):
+        if digraph.has_arc(a, b):
+            out[a] |= 1 << b
+            into[b] |= 1 << a
+    return out, into
+
+
+def _subset_has_cyclic_triangle(out: list[int], into: list[int], subset: tuple[int, ...]) -> bool:
+    mask = sum(1 << v for v in subset)
+    for a, b in combinations(subset, 2):
+        # a third vertex c closing a -> b -> c -> a, or b -> a -> c -> b
+        if out[a] >> b & 1:
+            if out[b] & into[a] & mask:
+                return True
+        elif out[a] & into[b] & mask:
             return True
     return False
 
@@ -299,10 +310,11 @@ def _subset_has_cyclic_triangle(digraph: SemicompleteDigraph, subset: tuple[int,
 def _max_transitive_by_subsets(digraph: SemicompleteDigraph) -> int:
     """For tournaments only: largest k with some k-subset free of cyclic
     triangles.  Independent of the feedback-vertex-set solver."""
+    out, into = _arc_masks(digraph)
     best = min(digraph.n, 2)
     for k in range(3, digraph.n + 1):
         if any(
-            not _subset_has_cyclic_triangle(digraph, s)
+            not _subset_has_cyclic_triangle(out, into, s)
             for s in combinations(range(digraph.n), k)
         ):
             best = k

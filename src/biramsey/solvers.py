@@ -259,55 +259,93 @@ class _AcyclicSolver:
     def __init__(self, n: int, out: list[int]):
         self.n = n
         self.out = out
+        self.into = [0] * n
+        for u in range(n):
+            for v in _bits(out[u]):
+                self.into[v] |= 1 << u
         self.nodes = 0
         self._memo: dict[tuple[int, int], int] = {}
 
-    def _shortest_cycle(self, mask: int) -> tuple[int, ...] | None:
-        """Shortest directed cycle within ``mask``; deterministic choice.
+    def _core(self, mask: int) -> int:
+        """What is left of ``mask`` after repeatedly deleting vertices with no
+        in-arc or no out-arc inside it; every cycle lies in the core."""
+        out, into = self.out, self.into
+        while True:
+            core = mask
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                if not into[v] & core or not out[v] & core:
+                    core ^= bit
+            if core == mask:
+                return core
+            mask = core
 
-        One-way digraphs carry at most one arc per pair, so the shortest
-        possible cycle has length 3; BFS depth is capped by the best cycle
-        found so far.
+    def _longer_cycle(self, mask: int) -> tuple[int, ...] | None:
+        """Shortest directed cycle within a triangle-free ``mask``.
+
+        Breadth-first search from every vertex, smallest first, with depth
+        capped by the best cycle found so far; a vertex's tree parent is the
+        first frontier vertex (in discovery order) with an arc to it, and the
+        cycle closes at the first frontier vertex with an arc back to the
+        start.  Without triangles no cycle is shorter than 4, so the first
+        4-cycle ends the search.
+
+        The search runs inside :meth:`_core`, which returns the same cycle:
+        from a start s, only the vertices that s reaches and that reach s
+        back (its strongly connected component) can close the cycle or be
+        tree parents on the way, their order of discovery depends on no
+        other vertex, and the core keeps all of them.
         """
+        out, into = self.out, self.into
+        mask = self._core(mask)
         best: tuple[int, ...] | None = None
-        m = mask
-        while m:
-            s = (m & -m).bit_length() - 1
-            m &= m - 1
-            # BFS from s over arcs within mask, looking for a path back to s
-            parent = {s: -1}
+        limit = mask.bit_count() + 1
+        starts = mask
+        while starts:
+            s = (starts & -starts).bit_length() - 1
+            starts &= starts - 1
+            back = into[s] & mask
+            parent = {}
+            seen = reached = 1 << s
             frontier = [s]
-            found = None
-            depth = 0
-            while frontier and found is None:
-                depth += 1
-                if best is not None and depth >= len(best):
-                    break  # cannot improve on the incumbent from here
-                nxt: list[int] = []
-                for x in frontier:
-                    targets = self.out[x] & mask
-                    while targets:
-                        y = (targets & -targets).bit_length() - 1
-                        targets &= targets - 1
-                        if y == s:
-                            found = x
-                            break
-                        if y not in parent:
-                            parent[y] = x
-                            nxt.append(y)
-                    if found is not None:
-                        break
-                frontier = nxt
-            if found is not None:
-                cycle = [found]
-                while cycle[-1] != s:
-                    cycle.append(parent[cycle[-1]])
-                cycle.reverse()  # starts at s, follows arcs
-                if best is None or len(cycle) < len(best):
+            depth = 1  # length of the cycles the current frontier can close
+            while True:
+                if reached & back:
+                    cycle = [next(x for x in frontier if back >> x & 1)]
+                    while cycle[-1] != s:
+                        cycle.append(parent[cycle[-1]])
+                    cycle.reverse()  # starts at s, follows arcs
                     best = tuple(cycle)
-                    if len(best) == 3:
+                    if len(best) == 4:
                         return best
+                    limit = len(best)
+                    break
+                depth += 1
+                if depth >= limit:
+                    break
+                nxt: list[int] = []
+                reached = 0
+                for x in frontier:
+                    new = out[x] & mask & ~seen
+                    seen |= new
+                    reached |= new
+                    while new:
+                        y = (new & -new).bit_length() - 1
+                        new &= new - 1
+                        parent[y] = x
+                        nxt.append(y)
+                if not nxt:
+                    break
+                frontier = nxt
         return best
+
+    def _shortest_cycle(self, mask: int) -> tuple[int, ...] | None:
+        """Shortest directed cycle within ``mask``; deterministic choice."""
+        packing = self._cycle_packing(mask, 1)
+        return packing[0] if packing else None
 
     def _greedy_incumbent(self, allowed: int, forced: int) -> int:
         """A feasible acyclic superset of ``forced`` built greedily, or -1."""
@@ -322,45 +360,81 @@ class _AcyclicSolver:
                 chosen |= bit
         return chosen
 
-    def max_acyclic(self, allowed: int, forced: int = 0) -> int:
-        """Max size of an acyclic S with forced <= S <= allowed; -1 if none."""
+    def max_acyclic(self, allowed: int, forced: int = 0, floor: int = -1) -> int:
+        """Max size of an acyclic S with forced <= S <= allowed; -1 if none.
+
+        With a ``floor`` the search only decides whether some S is larger:
+        a maximum at or below ``floor`` reads as ``floor``.  The memo keeps
+        upper bounds on each subtree's maximum, which a floor only loosens.
+        """
         incumbent = self._greedy_incumbent(allowed, forced)
         if incumbent < 0:
             return -1  # the forced set itself contains a cycle
         if self._shortest_cycle(incumbent) is not None:
             raise AssertionError("acyclicity check disagrees with cycle search")
-        self._best = bin(incumbent).count("1")
+        self._best = max(incumbent.bit_count(), floor)
         self._search(allowed, forced)
         return self._best
 
-    def _cycle_packing(self, allowed: int) -> list[tuple[int, ...]]:
-        """Vertex-disjoint directed cycles, greedily shortest-first."""
-        packing = []
-        mask = allowed
-        while True:
-            cycle = self._shortest_cycle(mask)
+    def _cycle_packing(self, allowed: int, enough: int) -> list[tuple[int, ...]]:
+        """Vertex-disjoint directed cycles, greedily shortest-first, stopping
+        at ``enough`` cycles.
+
+        Each cycle is a shortest one of what is left, the first a
+        breadth-first search from each vertex, smallest first, meets.  One-way
+        digraphs carry at most one arc per pair, so the shortest possible
+        cycle is a triangle, read off the masks: from s the search reaches
+        the out-neighbours x of s in ascending order, then theirs, and the
+        first y with an arc back to s closes (s, x, y).  A vertex on no
+        triangle stays on none as the mask shrinks, so the triangle scan
+        resumes after the start of the last triangle; once no triangle is
+        left, :meth:`_longer_cycle` searches for the rest.
+        """
+        out, into = self.out, self.into
+        packing: list[tuple[int, ...]] = []
+        mask = starts = allowed
+        while len(packing) < enough:
+            cycle = None
+            while starts and cycle is None:
+                bit = starts & -starts
+                starts ^= bit
+                s = bit.bit_length() - 1
+                back = into[s] & mask
+                ahead = out[s] & mask if back else 0
+                while ahead:
+                    x = (ahead & -ahead).bit_length() - 1
+                    ahead &= ahead - 1
+                    closing = out[x] & back
+                    if closing:
+                        cycle = (s, x, (closing & -closing).bit_length() - 1)
+                        break
             if cycle is None:
-                return packing
+                cycle = self._longer_cycle(mask)
+                if cycle is None:
+                    break
             packing.append(cycle)
             for v in cycle:
                 mask &= ~(1 << v)
+            starts &= mask
+        return packing
 
     def _search(self, allowed: int, forced: int) -> None:
         self.nodes += 1
-        size = bin(allowed).count("1")
+        size = allowed.bit_count()
         if size <= self._best:
             return
         key = (allowed, forced)
         cached = self._memo.get(key)
         if cached is not None and cached <= self._best:
             return
-        packing = self._cycle_packing(allowed)
+        # every packed cycle costs at least one deletion, so size - best
+        # cycles are enough to prune
+        packing = self._cycle_packing(allowed, size - self._best)
         if not packing:
             self._best = size
             self._memo[key] = size
             return
         if size - len(packing) <= self._best:
-            # every packed cycle costs at least one deletion
             self._memo[key] = max(self._memo.get(key, -1), size - len(packing))
             return
         branchable = [v for v in packing[0] if not forced >> v & 1]
@@ -468,9 +542,17 @@ def max_transitive_set(
     pairs are unconstrained and ordered by vertex id).  Ties break to the
     lexicographically smallest vertex set.
 
+    Per strongly connected component, once its optimum is known, each
+    vertex v in ascending order is kept iff an optimal acyclic set holds
+    the vertices kept so far, v, and otherwise only vertices above v.  That
+    search runs against a floor of optimum - 1: it only has to decide
+    whether such a set exists.
+
     The size cap guards memory-style blowup, not runtime: the search is
-    exact on an NP-hard problem and dense instances past roughly 30
-    vertices can take minutes.
+    exact on an NP-hard problem.  On one core of a 2-vCPU x86 host, random
+    tournaments take about 0.45 s at n = 28 and 3.7 s at n = 32, uniform
+    random semicomplete digraphs about 2.4 s at n = 32, 11 s at n = 36 and
+    110 s at the cap, n = 40.
     """
     if digraph.n > size_cap:
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {size_cap}")
@@ -490,8 +572,9 @@ def max_transitive_set(
             if picked_count == target:
                 break
             higher = comp & ~((1 << (v + 1)) - 1)
-            if solver.max_acyclic(picked | (1 << v) | higher, picked | (1 << v)) >= target:
-                picked |= 1 << v
+            keep = picked | (1 << v)
+            if solver.max_acyclic(keep | higher, keep, floor=target - 1) >= target:
+                picked = keep
                 picked_count += 1
         chosen |= picked
     vertices = tuple(_bits(chosen))

@@ -290,3 +290,28 @@ def test_verify_malformed_certificate_is_input_error(tmp_path, payload, message)
     code, _, err = run_cli(["verify", str(cert)])
     assert code == 2
     assert err.startswith("error:") and message in err
+
+
+def _solve_lines(tmp_path, instance):
+    path = tmp_path / "instance.txt"
+    path.write_text(serialize_instance(instance))
+    code, out, _ = run_cli(["solve", str(path)])
+    assert code == 0
+    return [line for line in out.splitlines() if line.startswith(("optimum=", "witness=", "order="))]
+
+
+def test_solve_golden_transitive_witnesses(tmp_path, sparse_semicomplete_28):
+    # optimum, lex-min witness and topological order, pinned from the
+    # dictionary-BFS solver that the bitmask cycle search replaced
+    from biramsey.model import random_tournament
+
+    assert _solve_lines(tmp_path, random_tournament(24, 1)) == [
+        "optimum=9",
+        "witness=0,3,4,6,8,11,14,21,23",
+        "order=6,0,4,11,3,23,8,14,21",
+    ]
+    assert _solve_lines(tmp_path, sparse_semicomplete_28) == [
+        "optimum=19",
+        "witness=0,1,2,4,8,9,10,12,13,14,16,17,18,21,22,24,25,26,27",
+        "order=8,17,25,9,1,27,24,13,2,16,0,18,12,21,14,22,4,10,26",
+    ]

@@ -1,5 +1,7 @@
 """Exact solvers against independent subset-enumeration oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -143,20 +145,65 @@ def test_clique_witness_matches_brute_force_tie_rule():
         assert (res.witness.color, res.witness.vertices) == (expected_color, best[1])
 
 
-def test_transitive_witness_vertex_set_is_lex_min_among_optima():
+def _lex_min_acyclic_optimum(d):
+    """Brute force: the first acyclic set, in lexicographic order, of the
+    largest size that has one."""
     from biramsey.solvers import _one_way_out_masks, _subset_is_acyclic
+
+    out = _one_way_out_masks(d)
+    for size in range(d.n, 0, -1):
+        for sub in _all_subsets_of_size(d.n, size):
+            if _subset_is_acyclic(sum(1 << v for v in sub), out):
+                return sub  # combinations yield in lexicographic order
+    return ()
+
+
+def _strong_blocks(n, rng):
+    """Two to four strongly connected tournaments on blocks of shuffled
+    labels (each block is a random tournament around a directed Hamiltonian
+    cycle); pairs across blocks are bioriented or run from the earlier block
+    to the later, so each block is its own strongly connected component."""
+    count = int(rng.integers(2, min(4, n // 3) + 1))
+    sizes = np.full(count, 3) + np.bincount(rng.integers(0, count, size=n - 3 * count), minlength=count)
+    blocks = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+    block = {v: b for b, part in enumerate(blocks) for v in part.tolist()}
+    arcs = set()
+    for part in blocks:
+        ring = part.tolist()
+        ring_arcs = {(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))}
+        arcs |= ring_arcs
+        for u, v in combinations(ring, 2):
+            if (u, v) not in ring_arcs and (v, u) not in ring_arcs:
+                arcs.add((u, v) if rng.integers(0, 2) else (v, u))
+    for u, v in combinations(range(n), 2):
+        if block[u] != block[v] and rng.integers(0, 2):
+            arcs.add((u, v) if block[u] < block[v] else (v, u))
+    return SemicompleteDigraph.from_arcs(n, arcs)
+
+
+def test_transitive_witness_vertex_set_is_lex_min_among_optima(sparse_semicomplete):
+    from biramsey.model import random_tournament
+    from biramsey.solvers import _one_way_out_masks, _strongly_connected_components
 
     for seed in range(20):
         d = random_semicomplete(7, seed + 900)
-        res = max_transitive_set(d)
-        out = _one_way_out_masks(d)
-        best = None
-        for sub in _all_subsets_of_size(7, res.size):
-            mask = sum(1 << v for v in sub)
-            if _subset_is_acyclic(mask, out):
-                best = sub
-                break  # combinations yield in lexicographic order
-        assert best == res.witness.vertices
+        assert max_transitive_set(d).witness.vertices == _lex_min_acyclic_optimum(d)
+    # the extraction decides each vertex against a floor of target - 1;
+    # compare with brute force on larger and differently shaped instances
+    rng = np.random.default_rng(1212)
+    multi_component = 0
+    for n in range(8, 13):
+        for d in (
+            random_tournament(n, int(rng.integers(0, 2**31))),
+            sparse_semicomplete(n, int(rng.integers(n, 3 * n)), rng),
+            _strong_blocks(n, rng),
+        ):
+            res = max_transitive_set(d)
+            assert res.witness.vertices == _lex_min_acyclic_optimum(d)
+            assert verify_witness(d, res.witness)
+            comps = _strongly_connected_components(n, _one_way_out_masks(d), (1 << n) - 1)
+            multi_component += sum(bin(c).count("1") > 1 for c in comps) > 1
+    assert multi_component >= 5  # every _strong_blocks instance at least
 
 
 def test_size_caps():
@@ -254,7 +301,7 @@ def test_oracle_is_deterministic():
     assert a == b
 
 
-def test_node_counts_stay_modest_on_structured_instances():
+def test_node_counts_stay_modest_on_structured_instances(sparse_semicomplete_28):
     # the exposed counters guard the pruning machinery: orders of magnitude
     # of headroom over observed counts, tight enough to catch a broken
     # bound or a lost component decomposition
@@ -267,3 +314,120 @@ def test_node_counts_stay_modest_on_structured_instances():
     assert r.nodes_explored < 10_000
     r = max_transitive_set(random_tournament(20, 99))
     assert r.nodes_explored < 2_000_000
+    # 3485 nodes when witness extraction searched each vertex for a true
+    # maximum; deciding against a floor of target - 1 takes 2549
+    r = max_transitive_set(sparse_semicomplete_28)
+    assert r.nodes_explored < 3_000
+
+
+# --- cycle search --------------------------------------------------------------
+
+
+def _reference_shortest_cycle(out, mask):
+    """Dictionary breadth-first search from every vertex, smallest first,
+    depth capped by the best cycle so far: the cycle search the bitmask
+    version must reproduce tuple for tuple."""
+    best = None
+    m = mask
+    while m:
+        s = (m & -m).bit_length() - 1
+        m &= m - 1
+        parent = {s: -1}
+        frontier = [s]
+        found = None
+        depth = 0
+        while frontier and found is None:
+            depth += 1
+            if best is not None and depth >= len(best):
+                break
+            nxt = []
+            for x in frontier:
+                targets = out[x] & mask
+                while targets:
+                    y = (targets & -targets).bit_length() - 1
+                    targets &= targets - 1
+                    if y == s:
+                        found = x
+                        break
+                    if y not in parent:
+                        parent[y] = x
+                        nxt.append(y)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is not None:
+            cycle = [found]
+            while cycle[-1] != s:
+                cycle.append(parent[cycle[-1]])
+            cycle.reverse()
+            if best is None or len(cycle) < len(best):
+                best = tuple(cycle)
+                if len(best) == 3:
+                    return best
+    return best
+
+
+def _reference_packing(out, mask):
+    packing = []
+    while True:
+        cycle = _reference_shortest_cycle(out, mask)
+        if cycle is None:
+            return packing
+        packing.append(cycle)
+        for v in cycle:
+            mask &= ~(1 << v)
+
+
+def _one_way_digraphs(rng):
+    """Out-mask lists: random one-way digraphs over a range of densities,
+    directed cycles C_4..C_9 with random chords, and digraphs whose arcs
+    all cross a bipartition (no odd cycles, so no triangles)."""
+    for _ in range(120):
+        n = int(rng.integers(3, 17))
+        density = float(rng.choice([0.15, 0.3, 0.5, 0.8, 1.0]))
+        out = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    if rng.integers(0, 2):
+                        out[u] |= 1 << v
+                    else:
+                        out[v] |= 1 << u
+        yield out
+    for k in range(4, 10):
+        for chords in range(4):
+            out = [1 << ((i + 1) % k) for i in range(k)]
+            for _ in range(chords):
+                i, j = rng.choice(k, size=2, replace=False).tolist()
+                if not (out[j] >> i & 1):
+                    out[i] |= 1 << j
+            yield out
+    for _ in range(40):
+        n = int(rng.integers(4, 17))
+        side = rng.integers(0, 2, size=n)
+        out = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if side[u] != side[v] and rng.random() < 0.7:
+                    if rng.integers(0, 2):
+                        out[u] |= 1 << v
+                    else:
+                        out[v] |= 1 << u
+        yield out
+
+
+def test_cycle_search_matches_dictionary_bfs():
+    from biramsey.solvers import _AcyclicSolver
+
+    rng = np.random.default_rng(3030)
+    longer = 0
+    for out in _one_way_digraphs(rng):
+        n = len(out)
+        solver = _AcyclicSolver(n, out)
+        masks = [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(12)]
+        for mask in masks:
+            expected = _reference_shortest_cycle(out, mask)
+            assert solver._shortest_cycle(mask) == expected
+            assert solver._cycle_packing(mask, n) == _reference_packing(out, mask)
+            longer += expected is not None and len(expected) > 3
+    assert longer >= 100  # the triangle-free fallback ran
