@@ -14,6 +14,12 @@
 All searches are deterministic; ties between optimal witnesses break to
 the lexicographically smallest vertex set (and red before blue), so
 outputs are reproducible across runs, platforms, and thread counts.
+
+Both branch-and-bound searches take a private ``floor``: a maximum at or
+below it reads as the floor, so a search that only has to beat a known
+size, or decide whether one is reached, prunes from the start.  The clique
+search also takes a ``ceiling``, a known upper bound at which it stops.
+Witness extraction, one yes/no search per vertex, runs on both.
 """
 
 from __future__ import annotations
@@ -152,10 +158,19 @@ class _CliqueSolver:
             out |= 1 << self._to_int[v]
         return out
 
-    def max_size(self, candidates: int | None = None) -> int:
-        """Size of a maximum clique inside ``candidates`` (original labels)."""
+    def max_size(
+        self, candidates: int | None = None, floor: int = 0, ceiling: int | None = None
+    ) -> int:
+        """Size of a maximum clique inside ``candidates`` (original labels).
+
+        With a ``floor`` the search only decides whether some clique is
+        larger: a maximum at or below ``floor`` reads as ``floor``.  A
+        ``ceiling`` must be a known upper bound on the maximum; the search
+        stops as soon as it finds a clique that large.
+        """
         cand = self._translate(candidates) if candidates is not None else (1 << self.n) - 1
-        self._best = 0
+        self._best = floor
+        self._ceiling = self.n if ceiling is None else ceiling
         if cand:
             self._expand(cand, 0)
         return self._best
@@ -188,11 +203,20 @@ class _CliqueSolver:
                 self._best = size + 1
             if nxt:
                 self._expand(nxt, size + 1)
+            if self._best >= self._ceiling:
+                return
             cand ^= 1 << v
 
-    def lex_min_maximum_clique(self) -> tuple[int, ...]:
-        """Lexicographically smallest vertex set among maximum cliques."""
-        target = self.max_size()
+    def lex_min_maximum_clique(self, target: int) -> tuple[int, ...]:
+        """Lexicographically smallest vertex set among cliques of size
+        ``target``, the maximum.
+
+        Each vertex v in ascending order is kept iff the common
+        neighbourhood of the kept vertices and v, above v, holds a clique
+        of the ``need`` vertices still missing.  No clique there is larger,
+        so each step is a yes/no search with floor need - 1 and ceiling
+        need.
+        """
         chosen: list[int] = []
         common = (1 << self.n) - 1  # common neighborhood of chosen, original labels
         for v in range(self.n):
@@ -202,7 +226,8 @@ class _CliqueSolver:
                 continue
             higher = ((1 << self.n) - 1) & ~((1 << (v + 1)) - 1)
             cand = common & self.adj[v] & higher
-            if 1 + len(chosen) + self.max_size(cand) >= target:
+            need = target - 1 - len(chosen)
+            if need == 0 or self.max_size(cand, need - 1, need) == need:
                 chosen.append(v)
                 common &= self.adj[v]
         return tuple(chosen)
@@ -223,19 +248,24 @@ def max_mono_clique(graph: BicoloredGraph, size_cap: int = CLIQUE_SIZE_CAP) -> S
 
     Ties break to larger size, then red over blue, then the
     lexicographically smallest vertex set.
+
+    Only the red search is a full maximisation.  Blue runs against a floor
+    of red's size, since it has to beat red to win, and the witness
+    extraction decides each vertex against a floor and a ceiling derived
+    from the optimum.
     """
     if graph.n > size_cap:
         raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {size_cap}")
     red = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.RED))
     blue = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.BLUE))
     red_size = red.max_size()
-    blue_size = blue.max_size()
+    blue_size = blue.max_size(floor=red_size)
     if red_size >= blue_size:
-        vertices = red.lex_min_maximum_clique()
+        vertices = red.lex_min_maximum_clique(red_size)
         witness = MonoCliqueWitness(vertices, EdgeColor.RED)
         size = red_size
     else:
-        vertices = blue.lex_min_maximum_clique()
+        vertices = blue.lex_min_maximum_clique(blue_size)
         witness = MonoCliqueWitness(vertices, EdgeColor.BLUE)
         size = blue_size
     return SolveResult(size, witness, red.nodes + blue.nodes)
@@ -348,15 +378,33 @@ class _AcyclicSolver:
         return packing[0] if packing else None
 
     def _greedy_incumbent(self, allowed: int, forced: int) -> int:
-        """A feasible acyclic superset of ``forced`` built greedily, or -1."""
+        """A feasible acyclic superset of ``forced`` built greedily, or -1.
+
+        Vertices of ``allowed`` join in ascending order whenever the set
+        stays acyclic.  The set is acyclic before v is tried, so any new
+        cycle runs through v: v joins iff nothing it reaches inside the set
+        has an arc back to v.
+        """
         if not _subset_is_acyclic(forced, self.out):
             return -1
+        out, into = self.out, self.into
         chosen = forced
         rest = allowed & ~forced
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if _subset_is_acyclic(chosen | bit, self.out):
+            v = bit.bit_length() - 1
+            back = into[v] & chosen
+            reach = frontier = out[v] & chosen if back else 0
+            while frontier and not reach & back:
+                step = 0
+                while frontier:
+                    x = (frontier & -frontier).bit_length() - 1
+                    frontier &= frontier - 1
+                    step |= out[x]
+                frontier = step & chosen & ~reach
+                reach |= frontier
+            if not reach & back:
                 chosen |= bit
         return chosen
 

@@ -297,7 +297,11 @@ def _solve_lines(tmp_path, instance):
     path.write_text(serialize_instance(instance))
     code, out, _ = run_cli(["solve", str(path)])
     assert code == 0
-    return [line for line in out.splitlines() if line.startswith(("optimum=", "witness=", "order="))]
+    return [
+        line
+        for line in out.splitlines()
+        if line.startswith(("optimum=", "witness=", "color=", "order="))
+    ]
 
 
 def test_solve_golden_transitive_witnesses(tmp_path, sparse_semicomplete_28):
@@ -314,4 +318,20 @@ def test_solve_golden_transitive_witnesses(tmp_path, sparse_semicomplete_28):
         "optimum=19",
         "witness=0,1,2,4,8,9,10,12,13,14,16,17,18,21,22,24,25,26,27",
         "order=8,17,25,9,1,27,24,13,2,16,0,18,12,21,14,22,4,10,26",
+    ]
+
+
+def test_solve_golden_clique_witnesses(tmp_path, sparse_colorings_64):
+    # optimum, lex-min witness and color, pinned from the solver that
+    # maximised every extraction step from an incumbent of 0; blue wins the
+    # first instance, red the second
+    assert _solve_lines(tmp_path, sparse_colorings_64[256]) == [
+        "optimum=31",
+        "witness=0,1,3,4,5,6,7,8,10,12,14,16,20,22,26,27,28,31,34,35,38,39,44,45,46,47,48,54,55,56,62",
+        "color=B",
+    ]
+    assert _solve_lines(tmp_path, sparse_colorings_64[1024]) == [
+        "optimum=15",
+        "witness=4,5,10,19,21,25,30,33,35,46,49,50,55,56,60",
+        "color=R",
     ]

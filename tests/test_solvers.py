@@ -13,6 +13,7 @@ from biramsey.model import (
     MonoCliqueWitness,
     SemicompleteDigraph,
     TransitiveWitness,
+    pair_count,
     random_coloring,
     random_semicomplete,
 )
@@ -125,24 +126,73 @@ def _all_subsets_of_size(n, size):
     return combinations(range(n), size)
 
 
-def test_clique_witness_matches_brute_force_tie_rule():
-    # larger size, then red before blue, then lexicographically smallest set
-    from itertools import combinations
+def _lex_min_mono_clique(g, size):
+    """Brute force: red before blue, then the first clique of ``size`` in
+    lexicographic order."""
+    for color in (EdgeColor.RED, EdgeColor.BLUE):
+        for sub in _all_subsets_of_size(g.n, size):
+            if all(g.has_color(u, v, color) for u, v in combinations(sub, 2)):
+                return color, sub
 
-    for seed in range(20):
-        g = random_coloring(7, seed + 600)
+
+def test_clique_witness_matches_brute_force_tie_rule(sparse_coloring):
+    # larger size, then red before blue, then lexicographically smallest set;
+    # the extraction decides each vertex against a floor and a ceiling
+    cases = [random_coloring(7, seed + 600) for seed in range(20)]
+    rng = np.random.default_rng(1313)
+    for n in range(8, 13):
+        cases += [random_coloring(n, int(rng.integers(0, 2**31))) for _ in range(3)]
+        cases += [sparse_coloring(n, int(rng.integers(0, pair_count(n) + 1)), rng) for _ in range(3)]
+    for g in cases:
         res = max_mono_clique(g)
-        best = None
-        for color in (EdgeColor.RED, EdgeColor.BLUE):
-            for sub in _all_subsets_of_size(7, res.size):
-                ok = all(g.has_color(u, v, color) for u, v in combinations(sub, 2))
-                if ok:
-                    key = (color is EdgeColor.BLUE, sub)
-                    if best is None or key < best:
-                        best = key
-        assert best is not None
-        expected_color = EdgeColor.BLUE if best[0] else EdgeColor.RED
-        assert (res.witness.color, res.witness.vertices) == (expected_color, best[1])
+        assert res.size == max_mono_clique_by_enumeration(g)
+        assert (res.witness.color, res.witness.vertices) == _lex_min_mono_clique(g, res.size)
+
+
+def _full_maximisation_clique(g):
+    """The clique solve in which blue and every extraction step are full
+    maximisations from an incumbent of 0: (size, witness, color, red size,
+    blue size)."""
+    from biramsey.solvers import _CliqueSolver, _color_adjacency
+
+    def lex_min_maximum_clique(solver):
+        target = solver.max_size()
+        chosen = []
+        common = (1 << solver.n) - 1
+        for v in range(solver.n):
+            if len(chosen) == target:
+                break
+            if not common >> v & 1:
+                continue
+            higher = ((1 << solver.n) - 1) & ~((1 << (v + 1)) - 1)
+            cand = common & solver.adj[v] & higher
+            if 1 + len(chosen) + solver.max_size(cand) >= target:
+                chosen.append(v)
+                common &= solver.adj[v]
+        return tuple(chosen)
+
+    red = _CliqueSolver(g.n, _color_adjacency(g, EdgeColor.RED))
+    blue = _CliqueSolver(g.n, _color_adjacency(g, EdgeColor.BLUE))
+    red_size, blue_size = red.max_size(), blue.max_size()
+    if red_size >= blue_size:
+        return red_size, lex_min_maximum_clique(red), EdgeColor.RED, red_size, blue_size
+    return blue_size, lex_min_maximum_clique(blue), EdgeColor.BLUE, red_size, blue_size
+
+
+def test_clique_extraction_matches_full_maximisation(sparse_coloring):
+    rng = np.random.default_rng(5151)
+    cases = [BicoloredGraph(1, ()), BicoloredGraph(9, (EdgeColor.RED_BLUE,) * 36)]
+    for n in range(1, 41):
+        for share in (0.1, 0.5, 0.9):  # sparse, medium and dense unicolored pairs
+            cases.append(sparse_coloring(n, round(share * pair_count(n)), rng))
+    blue_wins = ties = 0
+    for g in cases:
+        res = max_mono_clique(g)
+        size, vertices, color, red_size, blue_size = _full_maximisation_clique(g)
+        assert (res.size, res.witness.vertices, res.witness.color) == (size, vertices, color)
+        blue_wins += blue_size > red_size
+        ties += blue_size == red_size
+    assert blue_wins >= 10 and ties >= 10
 
 
 def _lex_min_acyclic_optimum(d):
@@ -301,7 +351,9 @@ def test_oracle_is_deterministic():
     assert a == b
 
 
-def test_node_counts_stay_modest_on_structured_instances(sparse_semicomplete_28):
+def test_node_counts_stay_modest_on_structured_instances(
+    sparse_semicomplete_28, sparse_colorings_64
+):
     # the exposed counters guard the pruning machinery: orders of magnitude
     # of headroom over observed counts, tight enough to catch a broken
     # bound or a lost component decomposition
@@ -318,6 +370,12 @@ def test_node_counts_stay_modest_on_structured_instances(sparse_semicomplete_28)
     # maximum; deciding against a floor of target - 1 takes 2549
     r = max_transitive_set(sparse_semicomplete_28)
     assert r.nodes_explored < 3_000
+    # 9727 and 2994 nodes when blue and every clique extraction step were
+    # full maximisations from 0; with the floors and ceilings, 3943 and 1059
+    r = max_mono_clique(sparse_colorings_64[256])
+    assert r.nodes_explored < 5_000
+    r = max_mono_clique(sparse_colorings_64[1024])
+    assert r.nodes_explored < 1_300
 
 
 # --- cycle search --------------------------------------------------------------
@@ -431,3 +489,48 @@ def test_cycle_search_matches_dictionary_bfs():
             assert solver._cycle_packing(mask, n) == _reference_packing(out, mask)
             longer += expected is not None and len(expected) > 3
     assert longer >= 100  # the triangle-free fallback ran
+
+
+# --- greedy incumbent ----------------------------------------------------------
+
+
+def _peeled_incumbent(out, allowed, forced):
+    """The greedy incumbent with a full acyclicity peel of each candidate
+    set."""
+    from biramsey.solvers import _subset_is_acyclic
+
+    if not _subset_is_acyclic(forced, out):
+        return -1
+    chosen = forced
+    rest = allowed & ~forced
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if _subset_is_acyclic(chosen | bit, out):
+            chosen |= bit
+    return chosen
+
+
+def test_greedy_incumbent_matches_peel():
+    from biramsey.solvers import _AcyclicSolver, _subset_is_acyclic
+
+    rng = np.random.default_rng(4242)
+    kinds = {"empty": 0, "acyclic": 0, "cyclic": 0}
+    for out in _one_way_digraphs(rng):
+        n = len(out)
+        solver = _AcyclicSolver(n, out)
+        cycle = solver._shortest_cycle((1 << n) - 1)
+        for _ in range(6):
+            allowed = int(rng.integers(0, 1 << n))
+            sample = allowed & int(rng.integers(0, 1 << n)) & int(rng.integers(0, 1 << n))
+            forced_sets = [0, sample]
+            if cycle is not None:
+                forced_sets.append(sample | sum(1 << v for v in cycle))
+            for forced in forced_sets:
+                if not forced:
+                    kinds["empty"] += 1
+                else:
+                    kinds["acyclic" if _subset_is_acyclic(forced, out) else "cyclic"] += 1
+                expected = _peeled_incumbent(out, allowed | forced, forced)
+                assert solver._greedy_incumbent(allowed | forced, forced) == expected
+    assert min(kinds.values()) >= 200
