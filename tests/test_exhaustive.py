@@ -1,5 +1,8 @@
 """Bit-parallel tournament scans against the per-instance solver."""
 
+from functools import cache
+
+import numpy as np
 import pytest
 
 from biramsey.exhaustive import (
@@ -9,8 +12,11 @@ from biramsey.exhaustive import (
     tournament_to_code,
     tt_free_tournament_codes,
 )
+from biramsey.model import pair_count
 from biramsey.solvers import (
+    _ORACLE_BLOCK,
     BudgetExceeded,
+    _transitive_sizes,
     brute_force_F,
     max_transitive_set,
     max_transitive_set_by_enumeration,
@@ -62,12 +68,61 @@ def test_tt5_free_seven_tournament_count():
     assert tt_free_tournament_codes(7, 5).size == 545168
 
 
+@cache
+def _full_scan_sizes(order):
+    """Largest transitive set of every code of the given order, every code
+    run through the oracle's subset dynamic program in code order."""
+    total = 1 << pair_count(order)
+    dtype = np.min_scalar_type(total - 1)
+    full = dtype.type(total - 1)
+    return np.concatenate([
+        _transitive_sizes(order, codes, codes ^ full, order + 1)
+        for codes in (
+            np.arange(lo, min(lo + _ORACLE_BLOCK, total), dtype=dtype)
+            for lo in range(0, total, _ORACLE_BLOCK)
+        )
+    ])
+
+
+@pytest.mark.parametrize(
+    "order, k",
+    [(order, k) for order in range(1, 7) for k in range(1, order + 2)]
+    + [(7, k) for k in range(3, 6)],
+)
+def test_tt_free_codes_match_full_scan(order, k):
+    free = tt_free_tournament_codes(order, k)
+    expected = np.flatnonzero(_full_scan_sizes(order) < k).astype(np.int64)
+    assert free.dtype == expected.dtype
+    assert np.array_equal(free, expected)  # same codes in the same order
+
+
+@pytest.mark.parametrize("order", range(3, 8))
+def test_min_max_matches_full_scan(order):
+    sizes = _full_scan_sizes(order)
+    value, inst = min_max_transitive_over_tournaments(order)
+    assert value == sizes.min()
+    assert tournament_to_code(inst) == int(sizes.argmin())  # first attainer
+
+
 def test_every_tournament_contains_tt():
     assert every_tournament_contains_tt(4, 3)  # 2^6 codes
     assert not every_tournament_contains_tt(3, 3)  # the directed triangle
     assert not every_tournament_contains_tt(7, 4)  # the 240 scanned codes
-    assert every_tournament_contains_tt(8, 4)  # extension argument
     assert not every_tournament_contains_tt(2, 3)
+    # one extension step; k >= 5 stops at the first order-8 block with a survivor
+    assert [every_tournament_contains_tt(8, k) for k in range(3, 8)] == [
+        True, True, False, False, False,
+    ]
+
+
+@pytest.mark.parametrize("order", [0, -1, -2])
+def test_scans_reject_orders_below_1(order):
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        tt_free_tournament_codes(order, 3)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        min_max_transitive_over_tournaments(order)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        every_tournament_contains_tt(order, 3)
 
 
 def test_scan_order_cap():
