@@ -126,8 +126,9 @@ def every_tournament_contains_tt(order: int, k: int) -> bool:
 
     Order SCAN_ORDER_CAP + 1 is one more extension step: the 2^(order - 1)
     arc patterns of a last vertex over each TT_k-free tournament of order
-    SCAN_ORDER_CAP, stopping at the first block with a TT_k-free survivor.
-    This covers all 2^C(order, 2) tournaments without enumerating them.
+    SCAN_ORDER_CAP.  Each block of those is extended as soon as it is found,
+    and the scan stops at the first TT_k-free survivor.  This covers all
+    2^C(order, 2) tournaments without enumerating them.
     """
     _check_scan_order(order, SCAN_ORDER_CAP + 1)
     if k <= 2:
@@ -136,5 +137,5 @@ def every_tournament_contains_tt(order: int, k: int) -> bool:
         return False
     if order <= SCAN_ORDER_CAP:
         return tt_free_tournament_codes(order, k).size == 0
-    base = tt_free_tournament_codes(order - 1, k)
-    return not any(block.size for block in _free_extensions(base, order, k))
+    bases = _free_extensions(tt_free_tournament_codes(order - 2, k), order - 1, k)
+    return not any(block.size for base in bases for block in _free_extensions(base, order, k))

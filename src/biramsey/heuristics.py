@@ -16,7 +16,11 @@ arcs always has a topological order).
 Randomness: trial i draws its permutation from split(seed, i), a spawned
 numpy SeedSequence, so parallel trials reproduce serial results exactly.
 Best-of-trials scores its trials in numpy blocks on those same permutations,
-so its sets and means equal the one-trial-at-a-time rule.
+so its sets and means equal the one-trial-at-a-time rule.  It derives the
+PCG64 states of split(seed, i) in bulk (SeedSequence's uint32 hash run over
+arrays of i) and sets them on one reused Generator; each call checks trial
+0's state against ``default_rng(split_seed(seed, 0))``.  Trial indices are
+one 32-bit word, so best-of-trials takes fewer than 2^32 trials.
 All expectations are exact rationals; guarantee comparisons are decidable.
 """
 
@@ -31,6 +35,7 @@ from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .model import (
+    ArcState,
     BicoloredGraph,
     EdgeColor,
     MonoCliqueWitness,
@@ -127,6 +132,102 @@ class TrialStats:
 def split_seed(seed: int, index: int) -> np.random.SeedSequence:
     """Independent child stream i of a 64-bit seed; stable across platforms."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+# 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_SEED_CHUNK = 1 << 12  # trials whose streams are derived together
+
+
+def _uint32_words(x: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int (at least one)."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's multiplicative hash; ``const`` advances per call."""
+
+    def hash_word(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hash_word
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _pcg64_states(seed: int, first: int, count: int) -> Iterator[tuple[int, int]]:
+    """(state, inc) of PCG64 seeded from split_seed(seed, i), for i in
+    first .. first + count - 1 (all below 2^32).
+
+    SeedSequence hashes its entropy words (the seed's words padded to the
+    pool size, then the spawn-key word i) into a pool of four words and
+    expands the pool into PCG64's 128-bit seed and increment.  All of it is
+    uint32 arithmetic, here on arrays that run over i.
+    """
+    words = _uint32_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(count, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(first, first + count, dtype=np.int64).astype(np.uint32))
+    hash_word = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_word(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_word(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hash_word(word))
+    hash_word = _hasher(_INIT_B, _MULT_B)
+    out = [hash_word(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    # little-endian word pairs give seed high, seed low, inc high, inc low
+    halves = [(out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)]
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        yield ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """Generators of split(seed, 0), ..., split(seed, trials - 1), in order.
+
+    One Generator is reused: before each yield it is set to the next
+    trial's PCG64 state, derived in bulk by :func:`_pcg64_states`, so draw
+    from it before advancing.  Trial 0 is built by ``default_rng`` (which
+    also rejects a negative seed) and cross-checks the derivation.
+    """
+    rng = np.random.default_rng(split_seed(seed, 0))
+    bit_generator = rng.bit_generator
+    for first in range(0, trials, _SEED_CHUNK):
+        count = min(_SEED_CHUNK, trials - first)
+        for i, (state, inc) in enumerate(_pcg64_states(seed, first, count), first):
+            value = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            if i == 0:
+                if bit_generator.state != value:
+                    raise AssertionError("bulk seed derivation disagrees with split_seed")
+            else:
+                bit_generator.state = value
+            yield rng
 
 
 def _permutation(
@@ -247,13 +348,15 @@ def induces_forest(graph: SimpleGraph, vertices: Iterable[int]) -> bool:
 # Bridges from the instance families to simple graphs
 
 
+def _pair_graph(instance: "BicoloredGraph | SemicompleteDigraph", chosen: np.ndarray) -> SimpleGraph:
+    """Simple graph of the pairs flagged in ``chosen`` (pair order)."""
+    us, vs = np.triu_indices(instance.n, 1)
+    keep = np.flatnonzero(chosen)
+    return SimpleGraph(instance.n, frozenset(zip(us[keep].tolist(), vs[keep].tolist())))
+
+
 def _single_color_graph(coloring: BicoloredGraph, color: EdgeColor) -> SimpleGraph:
-    edges = [
-        (u, v)
-        for (u, v), s in zip(iter_pairs(coloring.n), coloring.states)
-        if s is color
-    ]
-    return SimpleGraph.from_edges(coloring.n, edges)
+    return _pair_graph(coloring, coloring.pair_codes == color.code)
 
 
 def blue_edge_graph(coloring: BicoloredGraph) -> SimpleGraph:
@@ -268,9 +371,7 @@ def red_edge_graph(coloring: BicoloredGraph) -> SimpleGraph:
 
 def one_way_graph(digraph: SemicompleteDigraph) -> SimpleGraph:
     """Underlying undirected graph of the one-way arcs."""
-    return SimpleGraph.from_edges(
-        digraph.n, ((min(t, h), max(t, h)) for t, h in digraph.one_way_arcs())
-    )
+    return _pair_graph(digraph, digraph.pair_codes != ArcState.BIORIENTED.code)
 
 
 def random_simple_graph(n: int, edge_probability: float, seed: int) -> SimpleGraph:
@@ -303,11 +404,12 @@ def _kept_blocks(
     us, vs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2).T
     per_block = max(1, _ORACLE_BLOCK // max(1, n, len(us)))
     positions = np.arange(n, dtype=np.int32)
+    streams = _trial_generators(seed, trials)
     for lo in range(0, trials, per_block):
         block = range(lo, min(lo + per_block, trials))
         rank = np.empty((len(block), n), dtype=np.int32)
-        for row, i in zip(rank, block):
-            row[np.random.default_rng(split_seed(seed, i)).permutation(n)] = positions
+        for row, rng in zip(rank, streams):
+            row[rng.permutation(n)] = positions
         later = (rank.take(us, axis=1) < rank.take(vs, axis=1)) * (vs - us)
         later += us
         later += (np.arange(len(block)) * n)[:, None]
@@ -325,6 +427,8 @@ def _best_of_trials(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials >= 1 << 32:
+        raise ValueError("trials must be below 2^32")
     best: tuple[int, ...] = ()
     total = 0
     for kept in _kept_blocks(graph, trials, seed, max_earlier):

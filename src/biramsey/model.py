@@ -19,6 +19,11 @@ Text format, one instance per file, LF newlines, '#' starts a comment::
 with S in {R, B, RB} for colorings and {>, <, <>} for digraphs.  Input
 line order is free; serialization is canonical (pairs in lexicographic
 order) so serialized instances diff cleanly.
+
+Each instance also has ``pair_codes``, the same states as a read-only int8
+array in pair order: a state's code is its place in its enum (0 red or
+forward, 1 blue or backward, 2 both), so the reduction between the
+families keeps the codes.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterator, Mapping, Union
+from functools import cached_property
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Mapping, NoReturn, Union
 
 import numpy as np
 
@@ -71,6 +77,11 @@ class EdgeColor(enum.Enum):
     def token(self) -> str:
         return self.value
 
+    @property
+    def code(self) -> int:
+        """This state's entry in an instance's ``pair_codes``."""
+        return list(type(self)).index(self)
+
 
 class ArcState(enum.Enum):
     """Orientation of a pair {u, v}, u < v, in a semicomplete digraph."""
@@ -83,9 +94,11 @@ class ArcState(enum.Enum):
     def token(self) -> str:
         return self.value
 
+    @property
+    def code(self) -> int:
+        """This state's entry in an instance's ``pair_codes``."""
+        return list(type(self)).index(self)
 
-_COLOR_BY_TOKEN = {c.value: c for c in EdgeColor}
-_ARC_BY_TOKEN = {a.value: a for a in ArcState}
 
 # State maps of the reduction between the families: ascending arcs are red,
 # descending arcs are blue, bioriented pairs carry both colors.
@@ -122,13 +135,37 @@ def _check_states(n: int, states: tuple, kind: type) -> None:
         raise ValueError(
             f"expected {pair_count(n)} pair states for n={n}, got {len(states)}"
         )
-    for s in states:
-        if not isinstance(s, kind):
-            raise TypeError(f"pair state {s!r} is not a {kind.__name__}")
+    if not all(map(isinstance, states, repeat(kind))):
+        bad = next(s for s in states if not isinstance(s, kind))
+        raise TypeError(f"pair state {bad!r} is not a {kind.__name__}")
+
+
+class _PairStates:
+    """Pair-code view shared by both families; ``_STATES`` lists the
+    state enum in code order."""
+
+    _STATES: tuple
+
+    @cached_property
+    def pair_codes(self) -> np.ndarray:
+        """Read-only int8 array of the states' codes, in pair order."""
+        objects = np.array(self.states, dtype=object)
+        codes = np.zeros(len(objects), dtype=np.int8)
+        for code, state in enumerate(self._STATES):
+            codes[objects == state] = code
+        codes.flags.writeable = False
+        return codes
+
+    @classmethod
+    def _from_codes(cls, n: int, codes: np.ndarray):
+        instance = cls(n, tuple(map(cls._STATES.__getitem__, codes.tolist())))
+        codes.flags.writeable = False
+        instance.__dict__["pair_codes"] = codes
+        return instance
 
 
 @dataclass(frozen=True)
-class BicoloredGraph:
+class BicoloredGraph(_PairStates):
     """Complete graph whose pairs are red, blue, or both.
 
     ``states`` is indexed by :func:`pair_index`.
@@ -136,6 +173,7 @@ class BicoloredGraph:
 
     n: int
     states: tuple[EdgeColor, ...]
+    _STATES = tuple(EdgeColor)
 
     def __post_init__(self) -> None:
         _check_states(self.n, self.states, EdgeColor)
@@ -182,11 +220,12 @@ class BicoloredGraph:
 
 
 @dataclass(frozen=True)
-class SemicompleteDigraph:
+class SemicompleteDigraph(_PairStates):
     """Digraph where every pair carries one or both orientations."""
 
     n: int
     states: tuple[ArcState, ...]
+    _STATES = tuple(ArcState)
 
     def __post_init__(self) -> None:
         _check_states(self.n, self.states, ArcState)
@@ -380,6 +419,28 @@ class MissingPair(InstanceFormatError):
     pass
 
 
+_FAMILIES = {"bichrome": BicoloredGraph, "semi": SemicompleteDigraph}
+_CODE_BY_TOKEN = {
+    family: {state.token: code for code, state in enumerate(cls._STATES)}
+    for family, cls in _FAMILIES.items()
+}
+
+
+class _VertexIds(dict):
+    """Vertex-id tokens: the canonical spellings of 0..n-1 map straight to
+    ints; any other token goes through ``int`` and must land in range."""
+
+    def __init__(self, n: int):
+        super().__init__((str(v), v) for v in range(n))
+        self.n = n
+
+    def __missing__(self, token: str) -> int:
+        v = int(token)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return v
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the line-based instance format; see the module docstring.
 
@@ -387,39 +448,100 @@ def parse_instance(text: str) -> Instance:
     line: :class:`MissingPair`, :class:`DuplicatePair`, :class:`BadState`,
     :class:`VertexOutOfRange`, plus :class:`InvalidHeader` and
     :class:`MalformedLine` for structural problems.
+
+    The pairs take one lean pass, one split per line into flat lists of
+    ids and state codes, and numpy places them.  A file that pass rejects
+    is walked again line by line to name its first error.
     """
-    header: tuple[int, str] | None = None
-    n = 0
-    family = ""
-    states: list = []
-    seen: list[bool] = []
-
     lines = text.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 2 or tokens[0] not in ("bichrome", "semi"):
-                raise InvalidHeader(
-                    "expected header 'bichrome <n>' or 'semi <n>'", line_no, raw
-                )
-            family = tokens[0]
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise InvalidHeader("vertex count is not an integer", line_no, raw)
-            if n < 1:
-                raise InvalidHeader("vertex count must be at least 1", line_no, raw)
-            header = (line_no, family)
-            unlisted = pair_count(n) - (len(lines) - line_no)
-            if unlisted > 0:  # caught before C(n, 2) slots are allocated
-                raise MissingPair(f"at least {unlisted} pairs never listed", line_no, raw)
-            states = [None] * pair_count(n)
-            seen = [False] * pair_count(n)
-            continue
+    start, family, n = _parse_header(lines)
+    body: Iterable[str] = islice(lines, start, None)
+    if "#" in text:
+        body = (raw.split("#", 1)[0] for raw in body)
+    codes = _place_pairs(body, n, family)
+    if codes is None:
+        _diagnose_pairs(lines, start, n, family)
+    return _FAMILIES[family]._from_codes(n, codes)
 
+
+def _parse_header(lines: list[str]) -> tuple[int, str, int]:
+    """Line number of the header, its family, and n."""
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 2 or tokens[0] not in _FAMILIES:
+            raise InvalidHeader(
+                "expected header 'bichrome <n>' or 'semi <n>'", line_no, raw
+            )
+        try:
+            n = int(tokens[1])
+        except ValueError:
+            raise InvalidHeader("vertex count is not an integer", line_no, raw)
+        if n < 1:
+            raise InvalidHeader("vertex count must be at least 1", line_no, raw)
+        unlisted = pair_count(n) - (len(lines) - line_no)
+        if unlisted > 0:  # caught before C(n, 2) slots are allocated
+            raise MissingPair(f"at least {unlisted} pairs never listed", line_no, raw)
+        return line_no, tokens[0], n
+    raise InvalidHeader("empty input: missing header line")
+
+
+def _read_pairs(body: Iterable[str], n: int, family: str) -> "tuple[np.ndarray, ...] | None":
+    """Ids and state codes of the pair lines (comments removed), or None
+    when a line is malformed or names a vertex out of range.  The per-line
+    lists die on return, before the pairs are placed, which keeps the
+    parse's peak memory near the text's own."""
+    ids = _VertexIds(n)
+    code_by_token = _CODE_BY_TOKEN[family]
+    us: list[int] = []
+    vs: list[int] = []
+    states: list[int] = []
+    add_u, add_v, add_state = us.append, vs.append, states.append
+    try:
+        for tokens in map(str.split, body):
+            if tokens:
+                u, v, state = tokens
+                add_u(ids[u])
+                add_v(ids[v])
+                add_state(code_by_token[state])
+    except (ValueError, KeyError):
+        return None
+    return np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp), np.array(states, dtype=np.int8)
+
+
+def _place_pairs(body: Iterable[str], n: int, family: str) -> "np.ndarray | None":
+    """Pair codes of a valid body (comments removed), or None when any line
+    is malformed or out of range, or a pair is repeated or missing."""
+    pairs = _read_pairs(body, n, family)
+    if pairs is None:
+        return None
+    u, v, code = pairs
+    if len(code) != pair_count(n) or (u == v).any():
+        return None
+    if family == "semi":
+        code[(u > v) & (code != ArcState.BIORIENTED.code)] ^= 1  # a reversed arc flips
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # pair_index(lo, hi, n) = lo (2n - 3 - lo) / 2 + hi - 1, in place
+    index = 2 * n - 3 - lo
+    index *= lo
+    index //= 2
+    index += hi
+    index -= 1
+    codes = np.full(len(code), -1, dtype=np.int8)
+    codes[index] = code
+    # C(n, 2) lines fill every slot exactly when no pair repeats
+    return None if (codes < 0).any() else codes
+
+
+def _diagnose_pairs(lines: list[str], start: int, n: int, family: str) -> NoReturn:
+    """Raise the first error of a body :func:`_place_pairs` rejected."""
+    table = _CODE_BY_TOKEN[family]
+    seen = [False] * pair_count(n)
+    for line_no, raw in enumerate(lines[start:], start=start + 1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
         if len(tokens) != 3:
             raise MalformedLine("expected 'u v STATE'", line_no, raw)
         try:
@@ -431,32 +553,21 @@ def parse_instance(text: str) -> Instance:
                 f"pair ({u}, {v}) does not fit 0 <= u < v < {n}", line_no, raw
             )
         token = tokens[2]
-        table = _COLOR_BY_TOKEN if family == "bichrome" else _ARC_BY_TOKEN
         if token not in table:
             raise BadState(
                 f"state {token!r} invalid for family {family!r}", line_no, raw
             )
-        state = table[token]
         if u > v:
             u, v = v, u
-            if family == "semi":
-                state = _flip(state)
         idx = pair_index(u, v, n)
         if seen[idx]:
             raise DuplicatePair(f"pair ({u}, {v}) listed twice", line_no, raw)
         seen[idx] = True
-        states[idx] = state
-
-    if header is None:
-        raise InvalidHeader("empty input: missing header line")
     # six are enough to print five and the ellipsis
     missing = list(islice((p for p, ok in zip(iter_pairs(n), seen) if not ok), 6))
     if missing:
         raise MissingPair(f"pairs never listed: {missing[:5]}{'...' if len(missing) > 5 else ''}")
-
-    if family == "bichrome":
-        return BicoloredGraph(n, tuple(states))
-    return SemicompleteDigraph(n, tuple(states))
+    raise AssertionError("the lean parse rejected a valid file")
 
 
 def serialize_instance(instance: Instance) -> str:

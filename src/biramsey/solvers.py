@@ -494,10 +494,16 @@ class _AcyclicSolver:
 
 
 def _one_way_out_masks(digraph: SemicompleteDigraph) -> list[int]:
-    out = [0] * digraph.n
-    for tail, head in digraph.one_way_arcs():
-        out[tail] |= 1 << head
-    return out
+    """Bitmask of each vertex's one-way out-neighbors."""
+    n = digraph.n
+    us, vs = np.triu_indices(n, 1)
+    arcs = np.zeros((n, n), dtype=bool)
+    forward = digraph.pair_codes == ArcState.FORWARD.code
+    backward = digraph.pair_codes == ArcState.BACKWARD.code
+    arcs[us[forward], vs[forward]] = True
+    arcs[vs[backward], us[backward]] = True
+    rows = np.packbits(arcs, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _strongly_connected_components(n: int, out: list[int], mask: int) -> list[int]:

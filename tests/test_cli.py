@@ -100,6 +100,15 @@ def test_lowerbound_reports_stats(tmp_path):
     assert "guarantee=6" in out
 
 
+def test_lowerbound_rejects_2_to_the_32_trials(tmp_path):
+    path = tmp_path / "small.txt"
+    path.write_text("semi 3\n0 1 >\n1 2 >\n0 2 <>\n")
+    code, out, err = run_cli(["lowerbound", str(path), "--trials", str(2**32)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "trials" in err
+
+
 def _half_unicolored(family, seed, n=64):
     """Seeded instance with C(n, 2) / 2 unicolored resp. one-way pairs."""
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+from biramsey import exhaustive
 from biramsey.exhaustive import (
     every_tournament_contains_tt,
     min_max_transitive_over_tournaments,
@@ -113,6 +114,20 @@ def test_every_tournament_contains_tt():
     assert [every_tournament_contains_tt(8, k) for k in range(3, 8)] == [
         True, True, False, False, False,
     ]
+
+
+def test_order_8_extends_order_7_blocks_as_they_come(monkeypatch):
+    # building the whole TT_5-free order-7 set first scores 1,347,840
+    # candidates; extending its first block at once stops far sooner
+    scored = []
+
+    def counting(n, forward, backward, cap):
+        scored.append(len(forward))
+        return _transitive_sizes(n, forward, backward, cap)
+
+    monkeypatch.setattr(exhaustive, "_transitive_sizes", counting)
+    assert not every_tournament_contains_tt(8, 5)
+    assert sum(scored) < 1_347_840 // 4
 
 
 @pytest.mark.parametrize("order", [0, -1, -2])

@@ -295,3 +295,57 @@ def test_adjacency_is_built_once():
     g = random_simple_graph(12, 0.5, 4)
     assert g.adjacency() is g.adjacency()
     assert all(v in g.adjacency()[u] and u in g.adjacency()[v] for u, v in g.edges)
+
+
+# --- bulk-derived trial streams ----------------------------------------------
+
+
+# one-word seeds at both ends of a word, two words, three words, and five
+# words (more than the four-word pool: the third mixing phase)
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3 * 2**64 + 7]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_bulk_streams_match_split_seed(monkeypatch, seed):
+    # a chunk of 8 makes trials 0..19 cross two derivation boundaries
+    monkeypatch.setattr(heuristics, "_SEED_CHUNK", 8)
+    for i, rng in enumerate(heuristics._trial_generators(seed, 20)):
+        reference = np.random.default_rng(split_seed(seed, i))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.permutation(33).tolist() == reference.permutation(33).tolist()
+    assert i == 19
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_bulk_streams_cross_the_default_chunk(seed):
+    chunk = heuristics._SEED_CHUNK
+    checked = {0, 1, chunk - 1, chunk, chunk + 1}
+    for i, rng in enumerate(heuristics._trial_generators(seed, chunk + 2)):
+        if i in checked:
+            reference = np.random.default_rng(split_seed(seed, i))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.permutation(40).tolist() == reference.permutation(40).tolist()
+
+
+def test_bulk_streams_reject_negative_seeds():
+    with pytest.raises(ValueError, match="non-negative"):
+        next(heuristics._trial_generators(-1, 5))
+    with pytest.raises(ValueError, match="non-negative"):
+        mono_clique_trials(random_coloring(6, 1), 5, -3)
+
+
+def test_bulk_streams_check_trial_0(monkeypatch):
+    derive = heuristics._pcg64_states
+
+    def off_by_one(seed, first, count):
+        for state, inc in derive(seed, first, count):
+            yield state ^ 1, inc
+
+    monkeypatch.setattr(heuristics, "_pcg64_states", off_by_one)
+    with pytest.raises(AssertionError):
+        next(heuristics._trial_generators(5, 3))
+
+
+def test_trials_must_be_below_2_to_the_32():
+    with pytest.raises(ValueError, match="below 2"):
+        mono_clique_trials(random_coloring(5, 1), 2**32, 1)

@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,9 @@ from biramsey.model import (
     BicoloredGraph,
     DuplicatePair,
     EdgeColor,
+    InstanceFormatError,
     InvalidHeader,
+    MalformedLine,
     MissingPair,
     SemicompleteDigraph,
     VertexOutOfRange,
@@ -209,6 +212,208 @@ def test_serialize_uses_lf_and_lex_order():
     assert "\r" not in text and text.endswith("\n")
     body = [tuple(map(int, line.split()[:2])) for line in text.splitlines()[1:]]
     assert body == list(iter_pairs(5))
+
+
+# --- differential parse: the lean pass against the per-line parser ---------
+
+
+_TOKENS = {
+    "bichrome": {c.token: c for c in EdgeColor},
+    "semi": {a.token: a for a in ArcState},
+}
+_FLIP = {ArcState.FORWARD: ArcState.BACKWARD, ArcState.BACKWARD: ArcState.FORWARD}
+
+
+def _per_line_parse(text):
+    """The one-line-at-a-time parser the lean pass replaced, kept verbatim
+    in behaviour: same instances, same error classes and messages."""
+    header = None
+    n = 0
+    family = ""
+    states, seen = [], []
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2 or tokens[0] not in ("bichrome", "semi"):
+                raise InvalidHeader(
+                    "expected header 'bichrome <n>' or 'semi <n>'", line_no, raw
+                )
+            family = tokens[0]
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise InvalidHeader("vertex count is not an integer", line_no, raw)
+            if n < 1:
+                raise InvalidHeader("vertex count must be at least 1", line_no, raw)
+            header = (line_no, family)
+            unlisted = pair_count(n) - (len(lines) - line_no)
+            if unlisted > 0:
+                raise MissingPair(f"at least {unlisted} pairs never listed", line_no, raw)
+            states = [None] * pair_count(n)
+            seen = [False] * pair_count(n)
+            continue
+        if len(tokens) != 3:
+            raise MalformedLine("expected 'u v STATE'", line_no, raw)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise MalformedLine("vertex ids are not integers", line_no, raw)
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise VertexOutOfRange(
+                f"pair ({u}, {v}) does not fit 0 <= u < v < {n}", line_no, raw
+            )
+        token = tokens[2]
+        table = _TOKENS[family]
+        if token not in table:
+            raise BadState(f"state {token!r} invalid for family {family!r}", line_no, raw)
+        state = table[token]
+        if u > v:
+            u, v = v, u
+            if family == "semi":
+                state = _FLIP.get(state, state)
+        idx = pair_index(u, v, n)
+        if seen[idx]:
+            raise DuplicatePair(f"pair ({u}, {v}) listed twice", line_no, raw)
+        seen[idx] = True
+        states[idx] = state
+    if header is None:
+        raise InvalidHeader("empty input: missing header line")
+    missing = [p for p, ok in zip(iter_pairs(n), seen) if not ok][:6]
+    if missing:
+        raise MissingPair(f"pairs never listed: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    cls = BicoloredGraph if family == "bichrome" else SemicompleteDigraph
+    return cls(n, tuple(states))
+
+
+def _reversed(text):
+    """Every pair line written v u, arrows flipped so the instance stays."""
+    head, *body = text.splitlines()
+    flip = {">": "<", "<": ">"}
+    lines = []
+    for line in body:
+        u, v, s = line.split()
+        lines.append(f"{v} {u} {flip.get(s, s)}")
+    return "\n".join([head, *lines]) + "\n"
+
+
+def _odd_ids(text):
+    """Ids spelled '+u', in full-width digits, or with an underscore."""
+    head, *body = text.splitlines()
+    spell = [
+        lambda x: f"+{x}",
+        lambda x: str(x).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+        lambda x: f"0_{x}" if x < 10 else str(x),
+        str,
+    ]
+    lines = []
+    for i, line in enumerate(body):
+        u, v, s = line.split()
+        lines.append(f"{spell[i % 4](int(u))} {spell[(i + 1) % 4](int(v))} {s}")
+    return "\n".join([head, *lines]) + "\n"
+
+
+def _whitespace(text):
+    """CRLF endings, tabs, runs of spaces, blank and comment lines."""
+    head, *body = text.splitlines()
+    lines = ["# leading comment", "", f"  {head}\t# header"]
+    for i, line in enumerate(body):
+        u, v, s = line.split()
+        lines.append([f"{u}\t{v}\t{s}", f"  {u}   {v}  {s}  ", f"{u} {v} {s}# c", f"{u}　{v} {s}"][i % 4])
+        if i % 3 == 0:
+            lines.append("   \t ")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _mutations(text):
+    """One broken copy per error class (and per MissingPair message)."""
+    head, *body = text.splitlines()
+    family, n = head.split()
+    wrong = "R" if family == "semi" else ">"
+
+    def with_line(i, line):
+        return "\n".join([head, *body[:i], line, *body[i + 1:]]) + "\n"
+
+    cases = [
+        "",
+        "# only a comment\n\n",
+        "\n".join([f"digraph {n}", *body]) + "\n",
+        "\n".join([f"{family} x{n}", *body]) + "\n",
+        "\n".join([f"{family} 0", *body]) + "\n",
+        "\n".join([f"{family} {n} extra", *body]) + "\n",
+        head + "\n",  # promises C(n, 2) pair lines and lists none
+    ]
+    if body:
+        first, last = body[0].split(), len(body) - 1
+        cases += [
+            with_line(last, f"{first[0]} {first[1]}"),
+            with_line(last, f"{first[0]} {first[1]} {first[2]} extra"),
+            with_line(last, f"{first[0]} one {first[2]}"),
+            with_line(last, f"{first[0]} {first[1]} {wrong}"),
+            with_line(last, f"{first[0]} {first[0]} {first[2]}"),
+            with_line(last, f"{first[0]} {n} {first[2]}"),
+            with_line(last, f"-1 {first[1]} {first[2]}"),
+            with_line(last, f"{first[0]} 99999999999999999999999 {first[2]}"),
+            with_line(last, f"{first[1]} {first[0]} {first[2]}"),  # reversed repeat
+            with_line(last, "# a pair line commented out"),  # one missing pair
+            "\n".join([head, *["#"] * min(7, len(body)), *body[7:]]) + "\n",
+        ]
+    return cases
+
+
+def _parse_corpus():
+    bases = [random_coloring(n, 5 * n + 1) for n in (1, 2, 3, 5, 8)]
+    bases += [random_semicomplete(n, 11 * n + 2) for n in (1, 2, 3, 5, 8)]
+    texts = []
+    for inst in bases:
+        text = serialize_instance(inst)
+        for variant in (text, _reversed(text), _odd_ids(text), _whitespace(text)):
+            texts.append(variant)
+            texts += _mutations(variant) if variant is text else []
+    return texts
+
+
+def test_parse_matches_the_per_line_parser():
+    outcomes = set()
+    for text in _parse_corpus():
+        try:
+            expected = _per_line_parse(text)
+        except InstanceFormatError as exc:
+            with pytest.raises(type(exc)) as info:
+                parse_instance(text)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc), text
+            outcomes.add(type(exc).__name__)
+            if isinstance(exc, MissingPair):
+                # the short-file check names the header line; the end check
+                # lists up to five pairs, then an ellipsis
+                outcomes.add("short" if exc.line_no else "many" if str(exc)[-3:] == "..." else "few")
+            continue
+        got = parse_instance(text)
+        assert type(got) is type(expected) and got == expected, text
+        assert got.pair_codes.tolist() == [s.code for s in got.states]
+        outcomes.add("valid")
+    assert outcomes == {
+        "valid", "InvalidHeader", "MalformedLine", "BadState", "VertexOutOfRange",
+        "DuplicatePair", "MissingPair", "short", "few", "many",
+    }
+
+
+def test_pair_codes_follow_the_states():
+    for inst in _corpus():
+        codes = inst.pair_codes
+        assert codes.dtype == np.int8 and not codes.flags.writeable
+        assert codes.tolist() == [list(type(s)).index(s) for s in inst.states]
+        assert parse_instance(serialize_instance(inst)).pair_codes.tolist() == codes.tolist()
+        # the reduction between the families keeps every code
+        image = (
+            coloring_to_digraph(inst) if isinstance(inst, BicoloredGraph)
+            else digraph_to_coloring(inst)
+        )
+        assert image.pair_codes.tolist() == codes.tolist()
 
 
 # --- witnesses ---------------------------------------------------------------
