@@ -34,7 +34,6 @@ from .solvers import (
     verify_witness,
 )
 from .heuristics import (
-    SimpleGraph,
     TrialStats,
     aks_run,
     caro_wei_run,
@@ -86,7 +85,6 @@ __all__ = [
     "max_mono_clique",
     "max_transitive_set",
     "verify_witness",
-    "SimpleGraph",
     "TrialStats",
     "aks_run",
     "caro_wei_run",

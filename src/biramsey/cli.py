@@ -106,12 +106,12 @@ def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
     elif name == "lex-cliques":
         builder_args = {"n": args.n, "c": args.c}
     elif name == "mixed-coloring":
-        builder_args = {"n": args.n, "k": args.k, "gamma": Fraction(args.gamma)}
+        builder_args = {"n": args.n, "k": args.k, "gamma": args.gamma}
     elif name == "mixed-digraph":
         builder_args = {
             "n": args.n,
             "k": args.k,
-            "gamma": Fraction(args.gamma),
+            "gamma": args.gamma,
             "search": args.search,
         }
     else:
@@ -241,14 +241,14 @@ def _cmd_bound(args: argparse.Namespace, config: RunConfig) -> int:
     if name == "classic":
         _print_reports(bounds_mod.classic_bounds(args.n))
     elif name == "first-moment":
-        _print_reports([bounds_mod.first_moment_bound(Fraction(args.p), args.n)])
+        _print_reports([bounds_mod.first_moment_bound(args.p, args.n)])
     elif name == "blowup":
-        _print_reports([bounds_mod.blowup_bound(Fraction(args.p), args.n)])
+        _print_reports([bounds_mod.blowup_bound(args.p, args.n)])
     elif name == "best-upper":
-        _print_reports([bounds_mod.best_upper_bound(Fraction(args.p), args.n)])
+        _print_reports([bounds_mod.best_upper_bound(args.p, args.n)])
     elif name == "moments":
         z, y = bounds_mod.moment_compare(
-            args.population, args.successes, args.draws, Fraction(args.base)
+            args.population, args.successes, args.draws, args.base
         )
         print("quantity,value")
         print(f"hypergeometric_moment,{z}")
@@ -398,6 +398,15 @@ def _cmd_atlas(args: argparse.Namespace, config: RunConfig) -> int:
 # argument parsing
 
 
+def _fraction(text: str) -> Fraction:
+    """An exact rational such as 1/2 or 0.25; a zero denominator is a
+    usage error, not a crash."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biramsey",
@@ -416,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--c", type=int, default=1)
-    p.add_argument("--gamma", type=str, default="1")
+    p.add_argument("--gamma", type=_fraction, default="1")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--search", action="store_true",
                    help="allow the order-13 extremal tournament search")
@@ -454,11 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--p", type=str, default="1/2")
+    p.add_argument("--p", type=_fraction, default="1/2")
     p.add_argument("--population", type=int, default=8)
     p.add_argument("--successes", type=int, default=4)
     p.add_argument("--draws", type=int, default=4)
-    p.add_argument("--base", type=str, default="2")
+    p.add_argument("--base", type=_fraction, default="2")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--m-max", type=int, default=None)
     p.set_defaults(func=_cmd_bound)

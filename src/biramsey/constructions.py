@@ -22,6 +22,11 @@ Constructions:
 * :func:`mixed_coloring` / :func:`mixed_digraph` - two consecutive block
   sizes mixed by a weight, interpolating between pure packings; the floor
   losses are recorded explicitly as slack.
+
+The two clique packings share one painter of a near-equal Turan pair, and
+the three tournament builders one disjoint union, so
+``lex_clique_packing(n, c)`` is ``mixed_coloring(n, c, 0)`` and
+``tournament_packing(n, 2)`` is ``mixed_digraph(n, 2, 1)``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations
 from math import comb
 from pathlib import Path
 from typing import Mapping
@@ -42,6 +47,7 @@ from .model import (
     EdgeColor,
     Instance,
     SemicompleteDigraph,
+    _pair_masks,
     pair_count,
     pair_index,
     random_tournament,
@@ -231,7 +237,18 @@ def triangle_digraph(n: int, m: int) -> ConstructionCert:
 
 
 # ---------------------------------------------------------------------------
-# Blow-up
+# Disjoint unions of tournaments: blow-ups and packings
+
+
+def _disjoint_union(n: int, parts: list[SemicompleteDigraph]) -> SemicompleteDigraph:
+    """The parts' one-way arcs side by side from vertex 0, in order; every
+    cross pair and every vertex past the last part is bioriented."""
+    arcs: set[tuple[int, int]] = set()
+    offset = 0
+    for d in parts:
+        arcs.update((tail + offset, head + offset) for tail, head in d.one_way_arcs())
+        offset += d.n
+    return SemicompleteDigraph.from_arcs(n, arcs)
 
 
 def blowup(
@@ -261,19 +278,10 @@ def blowup(
     for d in inner:
         if not d.is_tournament():
             raise ClassSizeMismatch("inner digraphs must be tournaments")
-    arcs: set[tuple[int, int]] = set()
-    offset = 0
-    bound = 0
-    for d in inner:
-        for tail, head in d.one_way_arcs():
-            arcs.add((tail + offset, head + offset))
-        bound += max_transitive_set(d).size
-        offset += d.n
-    instance = SemicompleteDigraph.from_arcs(n, arcs)
     return ConstructionCert(
-        instance=instance,
+        instance=_disjoint_union(n, inner),
         claimed_m=sum(pair_count(s) for s in sizes),
-        claimed_bound=bound,
+        claimed_bound=sum(max_transitive_set(d).size for d in inner),
         provenance="blow-up-partition",
         equality=False,
         extras={"n": n, "t": t, "class_sizes": sizes},
@@ -286,13 +294,13 @@ def blowup(
 
 def _arc_masks(digraph: SemicompleteDigraph) -> tuple[list[int], list[int]]:
     """Out- and in-neighbour bitmasks under ``has_arc``."""
-    out = [0] * digraph.n
-    into = [0] * digraph.n
-    for a, b in permutations(range(digraph.n), 2):
-        if digraph.has_arc(a, b):
-            out[a] |= 1 << b
-            into[b] |= 1 << a
-    return out, into
+    codes = digraph.pair_codes
+    ascending = codes != ArcState.BACKWARD.code
+    descending = codes != ArcState.FORWARD.code
+    return (
+        _pair_masks(digraph.n, ascending, descending),
+        _pair_masks(digraph.n, descending, ascending),
+    )
 
 
 def _subset_has_cyclic_triangle(out: list[int], into: list[int], subset: tuple[int, ...]) -> bool:
@@ -413,14 +421,8 @@ def tournament_packing(n: int, k: int, search: bool = False) -> ConstructionCert
     q = extremal.order
     if n % q != 0:
         raise DivisibilityViolation(f"{q} must divide n, got n={n}")
-    arcs: set[tuple[int, int]] = set()
-    for copy in range(n // q):
-        offset = copy * q
-        for tail, head in extremal.digraph.one_way_arcs():
-            arcs.add((tail + offset, head + offset))
-    instance = SemicompleteDigraph.from_arcs(n, arcs)
     return ConstructionCert(
-        instance=instance,
+        instance=_disjoint_union(n, [extremal.digraph] * (n // q)),
         claimed_m=n * (q - 1) // 2,
         claimed_bound=k * n // q,
         provenance="extremal-tournament-packing",
@@ -431,6 +433,28 @@ def tournament_packing(n: int, k: int, search: bool = False) -> ConstructionCert
 
 # ---------------------------------------------------------------------------
 # Clique self-packings
+
+
+def _turan_pair(n: int, sizes: list[int]) -> BicoloredGraph:
+    """Two edge-disjoint clique packings with the given block sizes (at
+    most two consecutive values, larger first): blue cliques on consecutive
+    vertices, red cliques on consecutive runs of the transposed order, in
+    which row i lists the i-th member of every block having one.  Vertices
+    past sum(sizes) and all other pairs stay bicolored.
+    """
+    starts = list(accumulate(sizes, initial=0))
+    blue = [range(a, b) for a, b in zip(starts, starts[1:])]
+    transposed = [block[i] for i in range(max(sizes)) for block in blue if i < len(block)]
+    red = [transposed[a:b] for a, b in zip(starts, starts[1:])]
+    states = [EdgeColor.RED_BLUE] * pair_count(n)
+    for blocks, color in ((blue, EdgeColor.BLUE), (red, EdgeColor.RED)):
+        for members in blocks:
+            for u, v in combinations(sorted(members), 2):
+                idx = pair_index(u, v, n)
+                if states[idx] is not EdgeColor.RED_BLUE:
+                    raise PackingCollision(f"pair ({u}, {v}) would receive both unicolors")
+                states[idx] = color
+    return BicoloredGraph(n, tuple(states))
 
 
 def lex_clique_packing(n: int, c: int) -> ConstructionCert:
@@ -450,29 +474,8 @@ def lex_clique_packing(n: int, c: int) -> ConstructionCert:
         raise InfeasibleParams(
             f"self-packing needs c+1 <= n/(c+1); got {size} > {blocks}"
         )
-    states = [EdgeColor.RED_BLUE] * pair_count(n)
-
-    def paint(members: list[int], color: EdgeColor) -> None:
-        for u, v in combinations(sorted(members), 2):
-            idx = pair_index(u, v, n)
-            if states[idx] is not EdgeColor.RED_BLUE:
-                raise PackingCollision(
-                    f"pair ({u}, {v}) would receive both unicolors"
-                )
-            states[idx] = color
-
-    for j in range(blocks):
-        paint(list(range(j * size, (j + 1) * size)), EdgeColor.BLUE)
-    # vertex j*size + i sits at transposed position i*blocks + j
-    by_position = [0] * n
-    for j in range(blocks):
-        for i in range(size):
-            by_position[i * blocks + j] = j * size + i
-    for r in range(blocks):
-        paint(by_position[r * size : (r + 1) * size], EdgeColor.RED)
-
     return ConstructionCert(
-        instance=BicoloredGraph(n, tuple(states)),
+        instance=_turan_pair(n, [size] * blocks),
         claimed_m=c * n,
         claimed_bound=blocks,
         provenance="clique-self-packing",
@@ -515,43 +518,11 @@ def mixed_coloring(n: int, k: int, gamma: "Fraction | int | float") -> Construct
         raise InfeasibleParams(
             f"need at least k+1={k + 1} blocks for the transposed packing, got {blocks}"
         )
-    states = [EdgeColor.RED_BLUE] * pair_count(n)
-
-    def paint(members: list[int], color: EdgeColor) -> None:
-        for u, v in combinations(sorted(members), 2):
-            idx = pair_index(u, v, n)
-            if states[idx] is not EdgeColor.RED_BLUE:
-                raise PackingCollision(f"pair ({u}, {v}) would receive both unicolors")
-            states[idx] = color
-
-    # blue: blocks of consecutive vertices, sizes descending
-    starts = []
-    offset = 0
-    for s in sizes:
-        starts.append(offset)
-        offset += s
-    covered = offset
-    members_of = [list(range(st, st + s)) for st, s in zip(starts, sizes)]
-    for members in members_of:
-        paint(members, EdgeColor.BLUE)
-
-    # transposed order: row i lists the i-th member of every block having one
-    sequence: list[int] = []
-    for row in range(k + 1):
-        for j in range(blocks):
-            if sizes[j] > row:
-                sequence.append(members_of[j][row])
-    assert len(sequence) == covered
-    pos = 0
-    for s in sizes:
-        paint(sequence[pos : pos + s], EdgeColor.RED)
-        pos += s
-
     formula = n * (gamma / k + (1 - gamma) / (k + 1))
     bound = blocks + isolated
     cert_m = 2 * sum(comb(s, 2) for s in sizes)
     return ConstructionCert(
-        instance=BicoloredGraph(n, tuple(states)),
+        instance=_turan_pair(n, sizes),
         claimed_m=cert_m,
         claimed_bound=bound,
         provenance="mixed-clique-self-packing",
@@ -590,17 +561,9 @@ def mixed_digraph(
     if covered > n:
         raise InfeasibleParams("copies do not fit")
     isolated = n - covered
-    arcs: set[tuple[int, int]] = set()
-    offset = 0
-    for _ in range(copies_small):
-        for tail, head in small.digraph.one_way_arcs():
-            arcs.add((tail + offset, head + offset))
-        offset += small.order
-    for _ in range(copies_large):
-        for tail, head in large.digraph.one_way_arcs():
-            arcs.add((tail + offset, head + offset))
-        offset += large.order
-    instance = SemicompleteDigraph.from_arcs(n, arcs)
+    instance = _disjoint_union(
+        n, [small.digraph] * copies_small + [large.digraph] * copies_large
+    )
     bound = copies_small * k + copies_large * (k + 1) + isolated
     formula = n * (
         gamma * k / small.order + (1 - gamma) * (k + 1) / large.order

@@ -42,19 +42,16 @@ SCAN_ORDER_CAP = 7  # 2^21 codes; order 8 would be 2^28
 
 
 def tournament_from_code(code: int, order: int) -> SemicompleteDigraph:
-    states = []
-    for bit in range(pair_count(order)):
-        states.append(ArcState.FORWARD if code >> bit & 1 else ArcState.BACKWARD)
-    return SemicompleteDigraph(order, tuple(states))
+    bits = [code >> bit & 1 for bit in range(pair_count(order))]
+    return SemicompleteDigraph._from_codes(order, 1 - np.array(bits, dtype=np.int8))
 
 
 def tournament_to_code(digraph: SemicompleteDigraph) -> int:
     if not digraph.is_tournament():
         raise ValueError("only tournaments have a scan code")
     code = 0
-    for bit, s in enumerate(digraph.states):
-        if s is ArcState.FORWARD:
-            code |= 1 << bit
+    for bit in np.flatnonzero(digraph.pair_codes == ArcState.FORWARD.code).tolist():
+        code |= 1 << bit
     return code
 
 

@@ -1,5 +1,10 @@
 """Randomized permutation heuristics with exact expectation guarantees.
 
+A simple graph on vertices 0..n-1 is a list of n neighbour bitmasks: bit u
+of ``graph[v]`` is set iff uv is an edge.  The graphs derived from
+instances come from their ``pair_codes`` through the same mask helper as
+the exact solvers' adjacency.
+
 Two one-pass selection rules over a uniformly random vertex permutation of
 a simple graph:
 
@@ -28,9 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import permutations
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,12 +45,12 @@ from .model import (
     MonoCliqueWitness,
     SemicompleteDigraph,
     TransitiveWitness,
-    iter_pairs,
+    _pair_masks,
+    pair_count,
 )
-from .solvers import _ORACLE_BLOCK, _one_way_out_masks, _topological_order
+from .solvers import _ORACLE_BLOCK, _bits, _one_way_out_masks, _topological_order
 
 __all__ = [
-    "SimpleGraph",
     "TrialStats",
     "ExpectationBound",
     "split_seed",
@@ -65,51 +69,6 @@ __all__ = [
     "is_independent_set",
     "induces_forest",
 ]
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected simple graph on vertices 0..n-1; no loops, no duplicates."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not 0 <= u < v < self.n:
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            canon.add((u, v) if u < v else (v, u))
-        return cls(n, frozenset(canon))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets; built on first use and shared by later calls."""
-        return self._adjacency
-
-    @cached_property
-    def _adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(map(frozenset, adj))
 
 
 class ExpectationBound(NamedTuple):
@@ -238,50 +197,51 @@ def _permutation(
 
 
 def _select_by_earlier_neighbors(
-    order: Sequence[int], adjacency: Sequence[AbstractSet[int]], max_earlier: int
+    order: Sequence[int], graph: Sequence[int], max_earlier: int
 ) -> tuple[int, ...]:
-    seen: set[int] = set()
+    seen = 0
     selected: list[int] = []
     for v in order:
-        if len(adjacency[v] & seen) <= max_earlier:
+        if (graph[v] & seen).bit_count() <= max_earlier:
             selected.append(v)
-        seen.add(v)
+        seen |= 1 << v
     return tuple(sorted(selected))
 
 
 def caro_wei_run(
-    graph: SimpleGraph, seed: "int | np.random.SeedSequence | np.random.Generator"
+    graph: Sequence[int], seed: "int | np.random.SeedSequence | np.random.Generator"
 ) -> tuple[int, ...]:
     """One trial of the zero-earlier-neighbor rule; always independent."""
-    return _select_by_earlier_neighbors(
-        _permutation(graph.n, seed), graph.adjacency(), 0
-    )
+    return _select_by_earlier_neighbors(_permutation(len(graph), seed), graph, 0)
 
 
 def aks_run(
-    graph: SimpleGraph, seed: "int | np.random.SeedSequence | np.random.Generator"
+    graph: Sequence[int], seed: "int | np.random.SeedSequence | np.random.Generator"
 ) -> tuple[int, ...]:
     """One trial of the at-most-one-earlier-neighbor rule; always induces a
     forest (a cycle's last vertex in the permutation has two earlier
     neighbors on the cycle)."""
-    return _select_by_earlier_neighbors(
-        _permutation(graph.n, seed), graph.adjacency(), 1
-    )
+    return _select_by_earlier_neighbors(_permutation(len(graph), seed), graph, 1)
 
 
-def _expectation(graph: SimpleGraph, numerator: int) -> ExpectationBound:
-    total = sum(Fraction(numerator, d + 1) for d in graph.degrees())
-    n, m = graph.n, graph.edge_count
-    regularized = Fraction(numerator * n * n, 2 * m + n) if n else Fraction(0)
+def _degrees(graph: Sequence[int]) -> list[int]:
+    return [mask.bit_count() for mask in graph]
+
+
+def _expectation(graph: Sequence[int], numerator: int) -> ExpectationBound:
+    degrees = _degrees(graph)
+    total = sum(Fraction(numerator, d + 1) for d in degrees)
+    n, twice_m = len(degrees), sum(degrees)
+    regularized = Fraction(numerator * n * n, twice_m + n) if n else Fraction(0)
     return ExpectationBound(total, regularized)
 
 
-def expectation_caro_wei(graph: SimpleGraph) -> ExpectationBound:
+def expectation_caro_wei(graph: Sequence[int]) -> ExpectationBound:
     """Exact E[|output|] of :func:`caro_wei_run`: sum 1/(d_i + 1)."""
     return _expectation(graph, 1)
 
 
-def expectation_aks(graph: SimpleGraph) -> ExpectationBound:
+def expectation_aks(graph: Sequence[int]) -> ExpectationBound:
     """The classical forest-size bound sum 2/(d_i + 1).
 
     This is E[|output|] of :func:`aks_run` whenever every degree is
@@ -292,26 +252,25 @@ def expectation_aks(graph: SimpleGraph) -> ExpectationBound:
     return _expectation(graph, 2)
 
 
-def expected_run_size(graph: SimpleGraph, max_earlier: int) -> Fraction:
+def expected_run_size(graph: Sequence[int], max_earlier: int) -> Fraction:
     """Exact E[|output|] of the earlier-neighbor rule on any graph:
     a vertex is kept iff it lands in the first max_earlier + 1 slots of a
     uniform arrangement of its closed neighborhood, capped at certainty."""
     return sum(
-        min(Fraction(1), Fraction(max_earlier + 1, d + 1)) for d in graph.degrees()
+        min(Fraction(1), Fraction(max_earlier + 1, d + 1)) for d in _degrees(graph)
     )
 
 
-def permutation_average_size(graph: SimpleGraph, max_earlier: int) -> Fraction:
+def permutation_average_size(graph: Sequence[int], max_earlier: int) -> Fraction:
     """Average output size over all n! permutations, as an exact rational.
 
     Independent enumeration route for the closed-form expectations; only
     sensible at small n.
     """
-    adjacency = graph.adjacency()
     total = 0
     count = 0
-    for perm in permutations(range(graph.n)):
-        total += len(_select_by_earlier_neighbors(perm, adjacency, max_earlier))
+    for perm in permutations(range(len(graph))):
+        total += len(_select_by_earlier_neighbors(perm, graph, max_earlier))
         count += 1
     return Fraction(total, count)
 
@@ -320,27 +279,30 @@ def permutation_average_size(graph: SimpleGraph, max_earlier: int) -> Fraction:
 # Validity checks (assertable per seed)
 
 
-def is_independent_set(graph: SimpleGraph, vertices: Iterable[int]) -> bool:
-    vs = set(vertices)
-    return not any(u in vs and v in vs for u, v in graph.edges)
+def _vertex_mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
-def induces_forest(graph: SimpleGraph, vertices: Iterable[int]) -> bool:
-    vs = set(vertices)
-    parent = {v: v for v in vs}
+def is_independent_set(graph: Sequence[int], vertices: Iterable[int]) -> bool:
+    inside = _vertex_mask(vertices)
+    return not any(graph[v] & inside for v in _bits(inside))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for u, v in graph.edges:
-        if u in vs and v in vs:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
+def induces_forest(graph: Sequence[int], vertices: Iterable[int]) -> bool:
+    """Peel every vertex with at most one neighbour left until none is
+    left; a cycle's vertices never peel."""
+    rest = _vertex_mask(vertices)
+    while rest:
+        leaves = 0
+        for v in _bits(rest):
+            if (graph[v] & rest).bit_count() <= 1:
+                leaves |= 1 << v
+        if not leaves:
+            return False
+        rest ^= leaves
     return True
 
 
@@ -348,46 +310,46 @@ def induces_forest(graph: SimpleGraph, vertices: Iterable[int]) -> bool:
 # Bridges from the instance families to simple graphs
 
 
-def _pair_graph(instance: "BicoloredGraph | SemicompleteDigraph", chosen: np.ndarray) -> SimpleGraph:
-    """Simple graph of the pairs flagged in ``chosen`` (pair order)."""
-    us, vs = np.triu_indices(instance.n, 1)
-    keep = np.flatnonzero(chosen)
-    return SimpleGraph(instance.n, frozenset(zip(us[keep].tolist(), vs[keep].tolist())))
-
-
-def _single_color_graph(coloring: BicoloredGraph, color: EdgeColor) -> SimpleGraph:
-    return _pair_graph(coloring, coloring.pair_codes == color.code)
-
-
-def blue_edge_graph(coloring: BicoloredGraph) -> SimpleGraph:
+def blue_edge_graph(coloring: BicoloredGraph) -> list[int]:
     """Simple graph of the purely blue pairs."""
-    return _single_color_graph(coloring, EdgeColor.BLUE)
+    blue = coloring.pair_codes == EdgeColor.BLUE.code
+    return _pair_masks(coloring.n, blue, blue)
 
 
-def red_edge_graph(coloring: BicoloredGraph) -> SimpleGraph:
+def red_edge_graph(coloring: BicoloredGraph) -> list[int]:
     """Simple graph of the purely red pairs."""
-    return _single_color_graph(coloring, EdgeColor.RED)
+    red = coloring.pair_codes == EdgeColor.RED.code
+    return _pair_masks(coloring.n, red, red)
 
 
-def one_way_graph(digraph: SemicompleteDigraph) -> SimpleGraph:
+def one_way_graph(digraph: SemicompleteDigraph) -> list[int]:
     """Underlying undirected graph of the one-way arcs."""
-    return _pair_graph(digraph, digraph.pair_codes != ArcState.BIORIENTED.code)
+    one_way = digraph.pair_codes != ArcState.BIORIENTED.code
+    return _pair_masks(digraph.n, one_way, one_way)
 
 
-def random_simple_graph(n: int, edge_probability: float, seed: int) -> SimpleGraph:
-    rng = np.random.default_rng(seed)
-    edges = [
-        (u, v) for u, v in iter_pairs(n) if rng.random() < edge_probability
-    ]
-    return SimpleGraph.from_edges(n, edges)
+def random_simple_graph(n: int, edge_probability: float, seed: int) -> list[int]:
+    """G(n, p) with pair (u, v) decided by the next ``rng.random()`` draw,
+    pairs in lexicographic order."""
+    edges = np.random.default_rng(seed).random(pair_count(n)) < edge_probability
+    return _pair_masks(n, edges, edges)
 
 
 # ---------------------------------------------------------------------------
 # Best-of-trials lower-bound procedures
 
 
+def _edges(graph: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (u < v) of a graph's edges."""
+    n = len(graph)
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in graph), np.uint8)
+    bits = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
+    return np.nonzero(np.triu(bits, 1))
+
+
 def _kept_blocks(
-    graph: SimpleGraph, trials: int, seed: int, max_earlier: int
+    graph: Sequence[int], trials: int, seed: int, max_earlier: int
 ) -> Iterator[np.ndarray]:
     """Kept-vertex masks of the earlier-neighbor rule, one block at a time.
 
@@ -400,8 +362,8 @@ def _kept_blocks(
     bincount over the row-offset endpoints counts every vertex's earlier
     neighbors.
     """
-    n = graph.n
-    us, vs = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2).T
+    n = len(graph)
+    us, vs = _edges(graph)
     per_block = max(1, _ORACLE_BLOCK // max(1, n, len(us)))
     positions = np.arange(n, dtype=np.int32)
     streams = _trial_generators(seed, trials)
@@ -418,7 +380,7 @@ def _kept_blocks(
 
 
 def _best_of_trials(
-    graph: SimpleGraph, trials: int, seed: int, max_earlier: int
+    graph: Sequence[int], trials: int, seed: int, max_earlier: int
 ) -> tuple[tuple[int, ...], Fraction]:
     """Best kept set and mean kept size over ``trials`` seeded trials.
 
@@ -453,7 +415,7 @@ def mono_clique_trials(
     """
     blue = blue_edge_graph(coloring)
     red = red_edge_graph(coloring)
-    if blue.edge_count <= red.edge_count:
+    if sum(_degrees(blue)) <= sum(_degrees(red)):
         obstacle, witness_color = blue, EdgeColor.RED
     else:
         obstacle, witness_color = red, EdgeColor.BLUE

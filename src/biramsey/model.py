@@ -23,7 +23,10 @@ order) so serialized instances diff cleanly.
 Each instance also has ``pair_codes``, the same states as a read-only int8
 array in pair order: a state's code is its place in its enum (0 red or
 forward, 1 blue or backward, 2 both), so the reduction between the
-families keeps the codes.
+families only changes the tag on the codes.  Every graph derived from an
+instance (color classes, one-way arcs, obstacle graphs) is a list of
+per-vertex neighbour bitmasks built from a selection of those codes by
+one helper, :func:`_pair_masks`.
 """
 
 from __future__ import annotations
@@ -100,16 +103,6 @@ class ArcState(enum.Enum):
         return list(type(self)).index(self)
 
 
-# State maps of the reduction between the families: ascending arcs are red,
-# descending arcs are blue, bioriented pairs carry both colors.
-_ARC_TO_COLOR = {
-    ArcState.FORWARD: EdgeColor.RED,
-    ArcState.BACKWARD: EdgeColor.BLUE,
-    ArcState.BIORIENTED: EdgeColor.RED_BLUE,
-}
-_COLOR_TO_ARC = {v: k for k, v in _ARC_TO_COLOR.items()}
-
-
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -126,6 +119,22 @@ def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
     for u in range(n):
         for v in range(u + 1, n):
             yield u, v
+
+
+def _pair_masks(n: int, ascending: np.ndarray, descending: np.ndarray) -> list[int]:
+    """Per-vertex bitmasks of two bool pair selections in pair order.
+
+    Bit v of ``masks[u]`` is set for each pair (u, v), u < v, selected in
+    ``ascending``, and bit u of ``masks[v]`` for each one selected in
+    ``descending``.  The same selection twice gives the neighbour masks of
+    a simple graph; forward and backward codes give out-neighbour masks.
+    """
+    us, vs = np.triu_indices(n, 1)
+    bits = np.zeros((n, n), dtype=bool)
+    bits[us[ascending], vs[ascending]] = True
+    bits[vs[descending], us[descending]] = True
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _check_states(n: int, states: tuple, kind: type) -> None:
@@ -366,18 +375,15 @@ def digraph_to_coloring(digraph: SemicompleteDigraph) -> BicoloredGraph:
 
     The map preserves m, and any monochromatic clique of the output names a
     transitive vertex set of the input (red: ascending order, blue:
-    descending).
+    descending).  Forward, backward and bioriented share the codes of
+    red, blue and both, so the pair codes carry over unchanged.
     """
-    return BicoloredGraph(
-        digraph.n, tuple(_ARC_TO_COLOR[s] for s in digraph.states)
-    )
+    return BicoloredGraph._from_codes(digraph.n, digraph.pair_codes)
 
 
 def coloring_to_digraph(coloring: BicoloredGraph) -> SemicompleteDigraph:
     """Inverse of :func:`digraph_to_coloring`; a state-wise bijection."""
-    return SemicompleteDigraph(
-        coloring.n, tuple(_COLOR_TO_ARC[s] for s in coloring.states)
-    )
+    return SemicompleteDigraph._from_codes(coloring.n, coloring.pair_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -596,25 +602,18 @@ def _rng(seed: "int | np.random.Generator") -> np.random.Generator:
 
 def random_coloring(n: int, seed: "int | np.random.Generator") -> BicoloredGraph:
     """Uniform independent pair states over {R, B, RB}."""
-    rng = _rng(seed)
-    choices = (EdgeColor.RED, EdgeColor.BLUE, EdgeColor.RED_BLUE)
-    draws = rng.integers(0, 3, size=pair_count(n))
-    return BicoloredGraph(n, tuple(choices[d] for d in draws))
+    draws = _rng(seed).integers(0, 3, size=pair_count(n))
+    return BicoloredGraph._from_codes(n, draws.astype(np.int8))
 
 
 def random_semicomplete(n: int, seed: "int | np.random.Generator") -> SemicompleteDigraph:
     """Uniform independent pair states over {forward, backward, bioriented}."""
-    rng = _rng(seed)
-    choices = (ArcState.FORWARD, ArcState.BACKWARD, ArcState.BIORIENTED)
-    draws = rng.integers(0, 3, size=pair_count(n))
-    return SemicompleteDigraph(n, tuple(choices[d] for d in draws))
+    draws = _rng(seed).integers(0, 3, size=pair_count(n))
+    return SemicompleteDigraph._from_codes(n, draws.astype(np.int8))
 
 
 def random_tournament(n: int, seed: "int | np.random.Generator") -> SemicompleteDigraph:
-    """Uniform random tournament: every pair one-way, orientation a coin flip."""
-    rng = _rng(seed)
-    draws = rng.integers(0, 2, size=pair_count(n))
-    return SemicompleteDigraph(
-        n,
-        tuple(ArcState.FORWARD if d else ArcState.BACKWARD for d in draws),
-    )
+    """Uniform random tournament: every pair one-way, orientation a coin flip
+    (a draw of 1 is forward, code 0)."""
+    draws = _rng(seed).integers(0, 2, size=pair_count(n))
+    return SemicompleteDigraph._from_codes(n, (1 - draws).astype(np.int8))

@@ -41,6 +41,7 @@ from .model import (
     SemicompleteDigraph,
     TransitiveWitness,
     Witness,
+    _pair_masks,
     iter_pairs,
     pair_count,
     pair_index,
@@ -235,12 +236,9 @@ class _CliqueSolver:
 
 def _color_adjacency(graph: BicoloredGraph, color: EdgeColor) -> list[int]:
     """Bitmask adjacency of the simple graph whose edges include ``color``."""
-    adj = [0] * graph.n
-    for (u, v), s in zip(iter_pairs(graph.n), graph.states):
-        if s is color or s is EdgeColor.RED_BLUE:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return adj
+    codes = graph.pair_codes
+    edges = (codes == color.code) | (codes == EdgeColor.RED_BLUE.code)
+    return _pair_masks(graph.n, edges, edges)
 
 
 def max_mono_clique(graph: BicoloredGraph, size_cap: int = CLIQUE_SIZE_CAP) -> SolveResult:
@@ -495,15 +493,10 @@ class _AcyclicSolver:
 
 def _one_way_out_masks(digraph: SemicompleteDigraph) -> list[int]:
     """Bitmask of each vertex's one-way out-neighbors."""
-    n = digraph.n
-    us, vs = np.triu_indices(n, 1)
-    arcs = np.zeros((n, n), dtype=bool)
-    forward = digraph.pair_codes == ArcState.FORWARD.code
-    backward = digraph.pair_codes == ArcState.BACKWARD.code
-    arcs[us[forward], vs[forward]] = True
-    arcs[vs[backward], us[backward]] = True
-    rows = np.packbits(arcs, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    codes = digraph.pair_codes
+    return _pair_masks(
+        digraph.n, codes == ArcState.FORWARD.code, codes == ArcState.BACKWARD.code
+    )
 
 
 def _strongly_connected_components(n: int, out: list[int], mask: int) -> list[int]:
@@ -863,16 +856,12 @@ _SCORERS = {"coloring": _mono_clique_sizes, "digraph": _transitive_sizes}
 
 
 def _cell_instance(n: int, family: str, placement: tuple[int, ...], code: int) -> Instance:
-    """Instance ``code`` of a placement in the oracle's enumeration."""
-    kind, free, one, zero = (
-        (BicoloredGraph, EdgeColor.RED_BLUE, EdgeColor.RED, EdgeColor.BLUE)
-        if family == "coloring"
-        else (SemicompleteDigraph, ArcState.BIORIENTED, ArcState.FORWARD, ArcState.BACKWARD)
-    )
-    states = [free] * pair_count(n)
-    for bit, idx in enumerate(placement):
-        states[idx] = one if code >> bit & 1 else zero
-    return kind(n, tuple(states))
+    """Instance ``code`` of a placement in the oracle's enumeration; a set
+    code bit places pair code 0 (red / forward), a clear one code 1."""
+    codes = np.full(pair_count(n), EdgeColor.RED_BLUE.code, dtype=np.int8)
+    codes[list(placement)] = [1 - (code >> bit & 1) for bit in range(len(placement))]
+    kind = BicoloredGraph if family == "coloring" else SemicompleteDigraph
+    return kind._from_codes(n, codes)
 
 
 def oracle_cell_slice(

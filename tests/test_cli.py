@@ -1,8 +1,9 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import contextlib
+import hashlib
 import io
 import json
-import contextlib
 
 import numpy as np
 import pytest
@@ -225,6 +226,18 @@ def test_argument_errors_exit_2(tmp_path):
     )
     assert code == 2
     assert "error:" in err
+    # a zero denominator is a usage error, never a ZeroDivisionError
+    for argv in (
+        ["construct", "mixed-coloring", "--n", "16", "--k", "2", "--gamma", "1/0"],
+        ["construct", "mixed-digraph", "--n", "16", "--k", "2", "--gamma", "1/0"],
+        ["construct", "mixed-coloring", "--n", "16", "--k", "2", "--gamma", "half"],
+        ["bound", "first-moment", "--p", "1/0"],
+        ["bound", "blowup", "--p", "1/0"],
+        ["bound", "best-upper", "--p", "1/0"],
+        ["bound", "moments", "--base", "1/0"],
+    ):
+        code, _, err = run_cli(argv)
+        assert code == 2 and "not a fraction" in err, argv
 
 
 def test_solve_rejects_missing_and_malformed_files(tmp_path):
@@ -344,3 +357,93 @@ def test_solve_golden_clique_witnesses(tmp_path, sparse_colorings_64):
         "witness=4,5,10,19,21,25,30,33,35,46,49,50,55,56,60",
         "color=R",
     ]
+
+
+# sha256 of the instance and certificate files that `construct` writes for
+# each certificate the benchmark's exact workload builds; a builder refactor
+# must leave every byte of them unchanged
+CONSTRUCT_SHA256 = {
+    "matching --n 64 --m 64": {
+        "matching_n64_m64.cert.json":
+        "4c4269dba31700641048ba22aca3f4d8cccf24c7571d6a7afc12fb8c777e3b8e",
+        "matching_n64_m64.txt":
+        "93231afccd5209f6361e6156f99d46e6aa3c02152915251bbe323ac8a9289404",
+    },
+    "matching --n 40 --m 31": {
+        "matching_n40_m31.cert.json":
+        "f0b6d2a3b98aa28d64a4548068d1994ba96180c6b74d9da048cc78febf2f2146",
+        "matching_n40_m31.txt":
+        "223ff07b4e8fbe4cadbadb060f23ccf3a076cf7140c885f26fabaee7e2a270a9",
+    },
+    "triangles --n 40 --m 39": {
+        "triangles_n40_m39.cert.json":
+        "b3d96fd0f51a0feaedc25e81dcfb924d6670043a136b7c0716f974dd87a28777",
+        "triangles_n40_m39.txt":
+        "5bc03b3eab898a3cadbe210f43a8cf97a0b8466d0cc794e93d967d60c6fe9002",
+    },
+    "blowup --n 40 --t 4": {
+        "blowup_n40_t4.cert.json":
+        "db62fb39892085bcdef5c0409b041c25ba4c8d909287f0f4e0a69240750a25b7",
+        "blowup_n40_t4.txt":
+        "54b1eb03c6fdf0eb379c20844eabb0b9ad9b9d258dcca098fb142fbbe0014580",
+    },
+    "blowup --n 40 --t 2": {
+        "blowup_n40_t2.cert.json":
+        "d0a0f6d8e2bd05beafd6836832fff2ff911325414c8e1c3260b736faf727afc1",
+        "blowup_n40_t2.txt":
+        "1f2d8479575677c2aca4366f339ca681567d89b03b6880e893ad7e32623e08c4",
+    },
+    "packing --n 39 --k 4 --search": {
+        "packing_n39_k4.cert.json":
+        "56452d3e5dd7f5c0f3e2d3b5ec13c90f0c7ba959df587acaec1711b980fb71d3",
+        "packing_n39_k4.txt":
+        "1cbaa96bd4559ee4d39bc4a20f68a83b8aebee4b2cd50cd1d6f9848776bd881d",
+    },
+    "packing --n 28 --k 3": {
+        "packing_n28_k3.cert.json":
+        "539c572d0fd39473f5e4e69b082f316cddb7bb2966f0d3b55f9b493ad727a557",
+        "packing_n28_k3.txt":
+        "3a23f18afd428e630f32b74590c7a9b636ef933b4e00e0f3b88162201a258890",
+    },
+    "lex-cliques --n 64 --c 7": {
+        "lex_cliques_n64_c7.cert.json":
+        "d0eaf72e974acb66c779aa1f886193b0c2efb44fd9fdfacf4f09f1e6801de239",
+        "lex_cliques_n64_c7.txt":
+        "8dcfc06af0381a83936a633b43e3f2a6088b47392da5b9565c8039aa1ecf899d",
+    },
+    "lex-cliques --n 63 --c 2": {
+        "lex_cliques_n63_c2.cert.json":
+        "71f0769a860717fa2434e60ce1f1b5b410fcbd9627a4c5fc378ae273b92963d4",
+        "lex_cliques_n63_c2.txt":
+        "9b52f699c7b4af8084b36a4b6210e5cbe13005f213ccd04880828606120ecf46",
+    },
+    "mixed-coloring --n 64 --k 3 --gamma 1/2": {
+        "mixed_coloring_n64_k3_gamma1-2.cert.json":
+        "d1a18073cde8af2d75e05bfa0baa85355e5e5f55c0254fea138c56a78d530a58",
+        "mixed_coloring_n64_k3_gamma1-2.txt":
+        "c3138569ebc3caf19ff0ca53e04ab23bdc47bf62367c2a419622b1d7d78e8a69",
+    },
+    "mixed-digraph --n 40 --k 2 --gamma 1/2": {
+        "mixed_digraph_n40_k2_gamma1-2.cert.json":
+        "a269646cc782329962ed5fe6dc1c270ccf784c2e9749877fde2a99b416c2b9a8",
+        "mixed_digraph_n40_k2_gamma1-2.txt":
+        "7938ee84a301829d50d0986e08358138e497f64f76605d145dbb0d17b03e0e2a",
+    },
+    "mixed-digraph --n 40 --k 3 --gamma 1/2 --search": {
+        "mixed_digraph_n40_k3_gamma1-2.cert.json":
+        "0dd7f295e333cfacff1a496bbc6673ea743ecf2be2425eb0da30c47bf26bba84",
+        "mixed_digraph_n40_k3_gamma1-2.txt":
+        "70d36e1ce50a216d0602ec68b6ccbf9188b4f4d7b8e8703b38ed59ea147507ae",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", list(CONSTRUCT_SHA256))
+def test_construct_outputs_are_pinned(tmp_path, spec):
+    code, _, _ = run_cli(["construct", *spec.split(), "--out", str(tmp_path)])
+    assert code == 0
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert written == CONSTRUCT_SHA256[spec]

@@ -217,3 +217,25 @@ def test_verify_claims_detects_tampering():
     assert any("m-accounting" in f for f in verify_claims(cert.instance, 8, 6, True))
     assert any("ceiling" in f for f in verify_claims(cert.instance, 9, 5, False))
     assert any("equality" in f for f in verify_claims(cert.instance, 9, 7, True))
+
+
+# --- builders that are parameterisations of each other ------------------------
+
+
+@pytest.mark.parametrize(
+    "n, c", [(9, 2), (16, 3), (25, 4), (36, 5), (49, 6), (63, 2), (64, 7)]
+)
+def test_lex_clique_packing_is_mixed_coloring_at_gamma_0(n, c):
+    lex, mixed = lex_clique_packing(n, c), mixed_coloring(n, c, 0)
+    assert lex.instance == mixed.instance
+    assert (lex.claimed_m, lex.claimed_bound) == (mixed.claimed_m, mixed.claimed_bound)
+
+
+@pytest.mark.parametrize("n", [9, 18, 27, 39])
+def test_tournament_packing_is_mixed_digraph_at_gamma_1(n):
+    packing, mixed = tournament_packing(n, 2), mixed_digraph(n, 2, 1)
+    assert packing.instance == mixed.instance
+    assert (packing.claimed_m, packing.claimed_bound) == (
+        mixed.claimed_m,
+        mixed.claimed_bound,
+    )

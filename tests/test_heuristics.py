@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from biramsey import heuristics
 from biramsey.heuristics import (
-    SimpleGraph,
     _permutation,
     _select_by_earlier_neighbors,
     aks_run,
@@ -37,9 +36,28 @@ from biramsey.model import (
 )
 from biramsey.solvers import verify_witness
 
-C5 = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-K4 = SimpleGraph.from_edges(4, [(u, v) for u, v in combinations(range(4), 2)])
-PETERSEN = SimpleGraph.from_edges(
+
+
+def from_edges(n, edges):
+    """Neighbour bitmasks of a simple graph given by its edge list."""
+    graph = [0] * n
+    for u, v in edges:
+        graph[u] |= 1 << v
+        graph[v] |= 1 << u
+    return graph
+
+
+def degrees(graph):
+    return [mask.bit_count() for mask in graph]
+
+
+def edge_count(graph):
+    return sum(degrees(graph)) // 2
+
+
+C5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+K4 = from_edges(4, [(u, v) for u, v in combinations(range(4), 2)])
+PETERSEN = from_edges(
     10,
     [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 6), (2, 7), (3, 8),
      (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
@@ -47,7 +65,7 @@ PETERSEN = SimpleGraph.from_edges(
 
 
 def test_empty_graph_selects_everything():
-    g = SimpleGraph.from_edges(6, [])
+    g = from_edges(6, [])
     assert caro_wei_run(g, 3) == (0, 1, 2, 3, 4, 5)
 
 
@@ -86,7 +104,7 @@ def test_permutation_average_equals_closed_form():
         assert permutation_average_size(g, 0) == expected_run_size(g, 0)
         assert permutation_average_size(g, 1) == expected_run_size(g, 1)
         assert expected_run_size(g, 0) == expectation_caro_wei(g).sum_value
-        if min(g.degrees()) > 0:
+        if min(degrees(g)) > 0:
             assert expected_run_size(g, 1) == expectation_aks(g).sum_value
 
 
@@ -94,17 +112,17 @@ def test_expectations_exhaustively_on_every_five_vertex_graph():
     # all 1024 graphs on 5 vertices, averaged over all 120 permutations
     pairs = list(combinations(range(5), 2))
     for mask in range(1 << 10):
-        g = SimpleGraph.from_edges(5, [pairs[i] for i in range(10) if mask >> i & 1])
+        g = from_edges(5, [pairs[i] for i in range(10) if mask >> i & 1])
         assert permutation_average_size(g, 0) == expectation_caro_wei(g).sum_value
         assert permutation_average_size(g, 1) == expected_run_size(g, 1)
-        if g.edges and min(g.degrees()) > 0:
+        if edge_count(g) and min(degrees(g)) > 0:
             assert expected_run_size(g, 1) == expectation_aks(g).sum_value
 
 
 def test_forest_rule_expectation_clamps_isolated_vertices():
     # an isolated vertex is always kept: it adds 1 to the true expectation,
     # while the classical sum (whose premise is positive degrees) counts 2
-    g = SimpleGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    g = from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
     assert expectation_aks(g).sum_value == Fraction(2) + Fraction(8, 3)
     assert expected_run_size(g, 1) == 1 + Fraction(8, 3)
     assert permutation_average_size(g, 1) == expected_run_size(g, 1)
@@ -207,7 +225,7 @@ def test_guarantee_bounds_when_m_at_least_n():
         if m < n:
             continue
         checked += 1
-        minority = min(blue_edge_graph(g), red_edge_graph(g), key=lambda h: h.edge_count)
+        minority = min(blue_edge_graph(g), red_edge_graph(g), key=edge_count)
         assert expectation_caro_wei(minority).sum_value >= Fraction(n * n, m + n)
         _, stats = mono_clique_trials(g, 1, trial)
         assert stats.guarantee >= Fraction(n * n, m + n)
@@ -225,10 +243,10 @@ def test_bridge_graphs():
     blue = blue_edge_graph(g)
     red = red_edge_graph(g)
     states = list(g.states)
-    assert blue.edge_count == states.count(EdgeColor.BLUE)
-    assert red.edge_count == states.count(EdgeColor.RED)
+    assert edge_count(blue) == states.count(EdgeColor.BLUE)
+    assert edge_count(red) == states.count(EdgeColor.RED)
     d = random_semicomplete(8, 12)
-    assert one_way_graph(d).edge_count == d.oneway_count
+    assert edge_count(one_way_graph(d)) == d.oneway_count
 
 
 def test_trials_must_be_positive():
@@ -242,10 +260,8 @@ def test_trials_must_be_positive():
 
 def _differential_graphs():
     rng = np.random.default_rng(2024)
-    graphs = [SimpleGraph.from_edges(n, []) for n in (1, 2, 17, 40)]
-    graphs += [
-        SimpleGraph.from_edges(n, combinations(range(n), 2)) for n in (1, 2, 17, 40)
-    ]
+    graphs = [from_edges(n, []) for n in (1, 2, 17, 40)]
+    graphs += [from_edges(n, combinations(range(n), 2)) for n in (1, 2, 17, 40)]
     for _ in range(12):
         n = int(rng.integers(1, 41))
         p = float(rng.uniform(0.05, 0.95))
@@ -255,10 +271,9 @@ def _differential_graphs():
 
 def _serial_best_of_trials(g, trials, seed, max_earlier):
     best, total = None, 0
-    adjacency = g.adjacency()
     for i in range(trials):
         run = _select_by_earlier_neighbors(
-            _permutation(g.n, split_seed(seed, i)), adjacency, max_earlier
+            _permutation(len(g), split_seed(seed, i)), g, max_earlier
         )
         total += len(run)
         if best is None or len(run) > len(best) or (len(run) == len(best) and run < best):
@@ -272,7 +287,7 @@ def test_block_engine_matches_serial_rule(monkeypatch, block, max_earlier):
     # trial counts 1, one below and one above a block cover both boundaries
     monkeypatch.setattr(heuristics, "_ORACLE_BLOCK", block)
     for index, g in enumerate(_differential_graphs()):
-        per_block = max(1, block // max(1, g.n, g.edge_count))
+        per_block = max(1, block // max(1, len(g), edge_count(g)))
         if per_block > 200:
             continue  # a block boundary this far out is covered at block=64
         seed = 1000 + index
@@ -280,21 +295,14 @@ def test_block_engine_matches_serial_rule(monkeypatch, block, max_earlier):
             kept = np.concatenate(
                 list(heuristics._kept_blocks(g, trials, seed, max_earlier))
             )
-            assert kept.shape == (trials, g.n)
-            adjacency = g.adjacency()
+            assert kept.shape == (trials, len(g))
             for i, row in enumerate(kept):
-                order = _permutation(g.n, split_seed(seed, i))
-                expected = _select_by_earlier_neighbors(order, adjacency, max_earlier)
+                order = _permutation(len(g), split_seed(seed, i))
+                expected = _select_by_earlier_neighbors(order, g, max_earlier)
                 assert tuple(np.flatnonzero(row).tolist()) == expected
             assert heuristics._best_of_trials(
                 g, trials, seed, max_earlier
             ) == _serial_best_of_trials(g, trials, seed, max_earlier)
-
-
-def test_adjacency_is_built_once():
-    g = random_simple_graph(12, 0.5, 4)
-    assert g.adjacency() is g.adjacency()
-    assert all(v in g.adjacency()[u] and u in g.adjacency()[v] for u, v in g.edges)
 
 
 # --- bulk-derived trial streams ----------------------------------------------

@@ -30,7 +30,15 @@ from biramsey.model import (
     random_semicomplete,
     serialize_instance,
 )
-from biramsey.solvers import max_mono_clique, max_transitive_set, verify_witness
+from biramsey.constructions import _arc_masks
+from biramsey.heuristics import blue_edge_graph, one_way_graph, red_edge_graph
+from biramsey.solvers import (
+    _color_adjacency,
+    _one_way_out_masks,
+    max_mono_clique,
+    max_transitive_set,
+    verify_witness,
+)
 from biramsey.model import MonoCliqueWitness, TransitiveWitness
 
 
@@ -452,3 +460,53 @@ def test_property_round_trip_and_m(d):
     col = digraph_to_coloring(d)
     assert col.unicolored_count == d.oneway_count
     assert coloring_to_digraph(col) == d
+
+
+@st.composite
+def _instance(draw):
+    kind = draw(st.sampled_from([BicoloredGraph, SemicompleteDigraph]))
+    n = draw(st.integers(min_value=1, max_value=12))
+    states = draw(
+        st.lists(
+            st.sampled_from(kind._STATES),
+            min_size=pair_count(n),
+            max_size=pair_count(n),
+        )
+    )
+    return kind(n, tuple(states))
+
+
+def _masks_of(n, edge):
+    """Reference masks: bit v of masks[u] iff edge(u, v), pair by pair."""
+    return [sum(1 << v for v in range(n) if v != u and edge(u, v)) for u in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instance())
+def test_property_pair_masks_match_the_enum_route(instance):
+    # every graph the solvers, heuristics and constructions derive from an
+    # instance comes from _pair_masks over pair_codes
+    n = instance.n
+    if isinstance(instance, BicoloredGraph):
+        has = instance.has_color
+        for color in (EdgeColor.RED, EdgeColor.BLUE):
+            assert _color_adjacency(instance, color) == _masks_of(
+                n, lambda u, v: has(u, v, color)
+            )
+        red, blue = EdgeColor.RED, EdgeColor.BLUE
+        assert red_edge_graph(instance) == _masks_of(
+            n, lambda u, v: has(u, v, red) and not has(u, v, blue)
+        )
+        assert blue_edge_graph(instance) == _masks_of(
+            n, lambda u, v: has(u, v, blue) and not has(u, v, red)
+        )
+    else:
+        arc = instance.has_arc
+        assert _one_way_out_masks(instance) == _masks_of(
+            n, lambda u, v: arc(u, v) and not arc(v, u)
+        )
+        assert one_way_graph(instance) == _masks_of(n, lambda u, v: arc(u, v) != arc(v, u))
+        assert _arc_masks(instance) == (
+            _masks_of(n, arc),
+            _masks_of(n, lambda u, v: arc(v, u)),
+        )
