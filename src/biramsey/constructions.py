@@ -175,14 +175,14 @@ def matching_coloring(n: int, m: int) -> ConstructionCert:
     """
     if not 0 <= m <= n:
         raise InfeasibleParams(f"need 0 <= m <= n, got n={n}, m={m}")
-    states = [EdgeColor.RED_BLUE] * pair_count(n)
+    codes = bytearray([EdgeColor.RED_BLUE.code]) * pair_count(n)
     for i in range(m):
         u, v = i, i + 1
         if v == n:  # m == n closes the cycle
             u, v = 0, n - 1
-        states[pair_index(u, v, n)] = EdgeColor.RED if i % 2 == 0 else EdgeColor.BLUE
+        codes[pair_index(u, v, n)] = (EdgeColor.RED if i % 2 == 0 else EdgeColor.BLUE).code
     return ConstructionCert(
-        instance=BicoloredGraph(n, tuple(states)),
+        instance=BicoloredGraph(n, bytes(codes)),
         claimed_m=m,
         claimed_bound=n - m // 2,
         provenance="independent-color-classes",
@@ -446,15 +446,16 @@ def _turan_pair(n: int, sizes: list[int]) -> BicoloredGraph:
     blue = [range(a, b) for a, b in zip(starts, starts[1:])]
     transposed = [block[i] for i in range(max(sizes)) for block in blue if i < len(block)]
     red = [transposed[a:b] for a, b in zip(starts, starts[1:])]
-    states = [EdgeColor.RED_BLUE] * pair_count(n)
-    for blocks, color in ((blue, EdgeColor.BLUE), (red, EdgeColor.RED)):
+    both = EdgeColor.RED_BLUE.code
+    codes = bytearray([both]) * pair_count(n)
+    for blocks, code in ((blue, EdgeColor.BLUE.code), (red, EdgeColor.RED.code)):
         for members in blocks:
             for u, v in combinations(sorted(members), 2):
                 idx = pair_index(u, v, n)
-                if states[idx] is not EdgeColor.RED_BLUE:
+                if codes[idx] != both:
                     raise PackingCollision(f"pair ({u}, {v}) would receive both unicolors")
-                states[idx] = color
-    return BicoloredGraph(n, tuple(states))
+                codes[idx] = code
+    return BicoloredGraph(n, bytes(codes))
 
 
 def lex_clique_packing(n: int, c: int) -> ConstructionCert:

@@ -42,17 +42,14 @@ SCAN_ORDER_CAP = 7  # 2^21 codes; order 8 would be 2^28
 
 
 def tournament_from_code(code: int, order: int) -> SemicompleteDigraph:
-    bits = [code >> bit & 1 for bit in range(pair_count(order))]
-    return SemicompleteDigraph._from_codes(order, 1 - np.array(bits, dtype=np.int8))
+    return SemicompleteDigraph(order, bytes(1 - (code >> bit & 1) for bit in range(pair_count(order))))
 
 
 def tournament_to_code(digraph: SemicompleteDigraph) -> int:
     if not digraph.is_tournament():
         raise ValueError("only tournaments have a scan code")
-    code = 0
-    for bit in np.flatnonzero(digraph.pair_codes == ArcState.FORWARD.code).tolist():
-        code |= 1 << bit
-    return code
+    forward = ArcState.FORWARD.code
+    return sum(1 << bit for bit, code in enumerate(digraph.codes) if code == forward)
 
 
 def _check_scan_order(order: int, cap: int = SCAN_ORDER_CAP) -> None:

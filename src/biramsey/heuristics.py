@@ -31,10 +31,11 @@ All expectations are exact rationals; guarantee comparisons are decidable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -228,9 +229,14 @@ def _degrees(graph: Sequence[int]) -> list[int]:
     return [mask.bit_count() for mask in graph]
 
 
+def _sum_over_degrees(degrees: Sequence[int], term: Callable[[int], Fraction]) -> Fraction:
+    """Sum of ``term(d)`` over the degrees, one term per distinct degree."""
+    return sum(count * term(d) for d, count in Counter(degrees).items())
+
+
 def _expectation(graph: Sequence[int], numerator: int) -> ExpectationBound:
     degrees = _degrees(graph)
-    total = sum(Fraction(numerator, d + 1) for d in degrees)
+    total = _sum_over_degrees(degrees, lambda d: Fraction(numerator, d + 1))
     n, twice_m = len(degrees), sum(degrees)
     regularized = Fraction(numerator * n * n, twice_m + n) if n else Fraction(0)
     return ExpectationBound(total, regularized)
@@ -256,8 +262,8 @@ def expected_run_size(graph: Sequence[int], max_earlier: int) -> Fraction:
     """Exact E[|output|] of the earlier-neighbor rule on any graph:
     a vertex is kept iff it lands in the first max_earlier + 1 slots of a
     uniform arrangement of its closed neighborhood, capped at certainty."""
-    return sum(
-        min(Fraction(1), Fraction(max_earlier + 1, d + 1)) for d in _degrees(graph)
+    return _sum_over_degrees(
+        _degrees(graph), lambda d: min(Fraction(1), Fraction(max_earlier + 1, d + 1))
     )
 
 
@@ -413,12 +419,11 @@ def mono_clique_trials(
     independent set there spans a clique in the other color, since every
     non-obstacle pair carries it.
     """
-    blue = blue_edge_graph(coloring)
-    red = red_edge_graph(coloring)
-    if sum(_degrees(blue)) <= sum(_degrees(red)):
-        obstacle, witness_color = blue, EdgeColor.RED
+    codes = coloring.codes
+    if codes.count(EdgeColor.BLUE.code) <= codes.count(EdgeColor.RED.code):
+        obstacle, witness_color = blue_edge_graph(coloring), EdgeColor.RED
     else:
-        obstacle, witness_color = red, EdgeColor.BLUE
+        obstacle, witness_color = red_edge_graph(coloring), EdgeColor.BLUE
     best, mean = _best_of_trials(obstacle, trials, seed, 0)
     stats = TrialStats(trials, mean, expected_run_size(obstacle, 0), best)
     return MonoCliqueWitness(best, witness_color), stats

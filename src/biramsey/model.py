@@ -8,8 +8,10 @@ both store exactly one state per unordered pair {u, v}, u < v:
   arc (v -> u), or bioriented (both arcs).
 
 The quantity ``m`` counts unicolored pairs (resp. one-way pairs); the
-remaining pairs are bicolored (resp. bioriented).  Instances are immutable
-after construction and safe to share between concurrent solver calls.
+remaining pairs are bicolored (resp. bioriented).  An instance is ``n`` plus
+``codes``, one byte per pair in :func:`pair_index` order: the state's place
+in its enum (0 red or forward, 1 blue or backward, 2 both).  Instances are
+immutable frozen dataclasses, safe to share between concurrent solver calls.
 
 Text format, one instance per file, LF newlines, '#' starts a comment::
 
@@ -20,13 +22,12 @@ with S in {R, B, RB} for colorings and {>, <, <>} for digraphs.  Input
 line order is free; serialization is canonical (pairs in lexicographic
 order) so serialized instances diff cleanly.
 
-Each instance also has ``pair_codes``, the same states as a read-only int8
-array in pair order: a state's code is its place in its enum (0 red or
-forward, 1 blue or backward, 2 both), so the reduction between the
-families only changes the tag on the codes.  Every graph derived from an
-instance (color classes, one-way arcs, obstacle graphs) is a list of
-per-vertex neighbour bitmasks built from a selection of those codes by
-one helper, :func:`_pair_masks`.
+Everything else is derived from the codes: ``states`` (the enum members),
+``pair_codes`` (a zero-copy read-only int8 view) and the counts.  The
+reduction between the families only changes the tag on the codes.  Every
+graph derived from an instance (color classes, one-way arcs, obstacle
+graphs) is a list of per-vertex neighbour bitmasks built from a selection
+of the codes by one helper, :func:`_pair_masks`.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NoReturn, Union
 
 import numpy as np
@@ -82,7 +82,7 @@ class EdgeColor(enum.Enum):
 
     @property
     def code(self) -> int:
-        """This state's entry in an instance's ``pair_codes``."""
+        """This state's byte in an instance's ``codes``."""
         return list(type(self)).index(self)
 
 
@@ -99,7 +99,7 @@ class ArcState(enum.Enum):
 
     @property
     def code(self) -> int:
-        """This state's entry in an instance's ``pair_codes``."""
+        """This state's byte in an instance's ``codes``."""
         return list(type(self)).index(self)
 
 
@@ -137,90 +137,89 @@ def _pair_masks(n: int, ascending: np.ndarray, descending: np.ndarray) -> list[i
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _check_states(n: int, states: tuple, kind: type) -> None:
-    if n < 1:
-        raise ValueError("instances need at least one vertex")
-    if len(states) != pair_count(n):
-        raise ValueError(
-            f"expected {pair_count(n)} pair states for n={n}, got {len(states)}"
-        )
-    if not all(map(isinstance, states, repeat(kind))):
-        bad = next(s for s in states if not isinstance(s, kind))
-        raise TypeError(f"pair state {bad!r} is not a {kind.__name__}")
-
-
-class _PairStates:
-    """Pair-code view shared by both families; ``_STATES`` lists the
-    state enum in code order."""
-
-    _STATES: tuple
-
-    @cached_property
-    def pair_codes(self) -> np.ndarray:
-        """Read-only int8 array of the states' codes, in pair order."""
-        objects = np.array(self.states, dtype=object)
-        codes = np.zeros(len(objects), dtype=np.int8)
-        for code, state in enumerate(self._STATES):
-            codes[objects == state] = code
-        codes.flags.writeable = False
-        return codes
-
-    @classmethod
-    def _from_codes(cls, n: int, codes: np.ndarray):
-        instance = cls(n, tuple(map(cls._STATES.__getitem__, codes.tolist())))
-        codes.flags.writeable = False
-        instance.__dict__["pair_codes"] = codes
-        return instance
+_BOTH = 2  # the code of a pair carrying both colors / both orientations
 
 
 @dataclass(frozen=True)
-class BicoloredGraph(_PairStates):
-    """Complete graph whose pairs are red, blue, or both.
+class _PairStates:
+    """One state code per pair, shared by both families.
 
-    ``states`` is indexed by :func:`pair_index`.
+    ``codes`` holds byte ``pair_index(u, v, n)`` for each pair u < v: the
+    state's place in ``_STATES``, the family's enum in code order (0 red /
+    forward, 1 blue / backward, 2 both).  ``_REVERSED[code]`` is the code of
+    the same pair read as (v, u).
     """
 
     n: int
-    states: tuple[EdgeColor, ...]
-    _STATES = tuple(EdgeColor)
+    codes: bytes
 
     def __post_init__(self) -> None:
-        _check_states(self.n, self.states, EdgeColor)
+        if self.n < 1:
+            raise ValueError("instances need at least one vertex")
+        if not isinstance(self.codes, bytes):
+            raise TypeError(f"pair codes must be bytes, not {type(self.codes).__name__}")
+        if len(self.codes) != pair_count(self.n):
+            raise ValueError(
+                f"expected {pair_count(self.n)} pair codes for n={self.n}, got {len(self.codes)}"
+            )
+        if self.codes.translate(None, b"\0\1\2"):
+            raise ValueError("pair codes must be 0, 1 or 2")
 
     @classmethod
-    def from_map(cls, n: int, pairs: Mapping[tuple[int, int], EdgeColor]) -> "BicoloredGraph":
-        states = [EdgeColor.RED_BLUE] * pair_count(n)
+    def from_map(cls, n: int, pairs: Mapping[tuple[int, int], enum.Enum]) -> "_PairStates":
+        """Build from a map of pairs, either way round, to states of the
+        family's enum; unlisted pairs carry both states."""
+        kind = type(cls._STATES[0])
+        codes = bytearray([_BOTH]) * pair_count(n)
         seen = set()
-        for (u, v), color in pairs.items():
+        for (u, v), state in pairs.items():
+            if not isinstance(state, kind):
+                raise TypeError(f"pair state {state!r} is not a {kind.__name__}")
+            code = state.code
             if u > v:
-                u, v = v, u
+                u, v, code = v, u, cls._REVERSED[code]
             idx = pair_index(u, v, n)
             if idx in seen:
                 raise ValueError(f"pair ({u}, {v}) listed twice")
             seen.add(idx)
-            states[idx] = color
-        return cls(n, tuple(states))
+            codes[idx] = code
+        return cls(n, bytes(codes))
 
-    def state(self, u: int, v: int) -> EdgeColor:
+    @property
+    def pair_codes(self) -> np.ndarray:
+        """Read-only int8 view of ``codes``."""
+        return np.frombuffer(self.codes, dtype=np.int8)
+
+    @property
+    def states(self) -> tuple:
+        """The pair states as enum members, in pair order."""
+        return tuple(map(self._STATES.__getitem__, self.codes))
+
+    def state(self, u: int, v: int) -> enum.Enum:
+        """State of the pair read as (u, v)."""
         if u > v:
-            u, v = v, u
-        return self.states[pair_index(u, v, self.n)]
+            return self._STATES[self._REVERSED[self.codes[pair_index(v, u, self.n)]]]
+        return self._STATES[self.codes[pair_index(u, v, self.n)]]
+
+    def density(self) -> Fraction:
+        """Exact fraction p of pairs carrying both states."""
+        return Fraction(self.codes.count(_BOTH), len(self.codes)) if self.codes else Fraction(0)
+
+
+class BicoloredGraph(_PairStates):
+    """Complete graph whose pairs are red, blue, or both."""
+
+    _STATES = tuple(EdgeColor)
+    _REVERSED = (0, 1, 2)
 
     @property
     def unicolored_count(self) -> int:
         """The quantity m: pairs carrying exactly one color."""
-        return sum(1 for s in self.states if s is not EdgeColor.RED_BLUE)
+        return len(self.codes) - self.codes.count(_BOTH)
 
     @property
     def bicolored_count(self) -> int:
-        return pair_count(self.n) - self.unicolored_count
-
-    def density(self) -> Fraction:
-        """Exact bicolored fraction p = |bicolored pairs| / C(n, 2)."""
-        total = pair_count(self.n)
-        if total == 0:
-            return Fraction(0)
-        return Fraction(self.bicolored_count, total)
+        return self.codes.count(_BOTH)
 
     def has_color(self, u: int, v: int, color: EdgeColor) -> bool:
         """Whether the pair's state includes the given single color."""
@@ -228,92 +227,49 @@ class BicoloredGraph(_PairStates):
         return s is color or s is EdgeColor.RED_BLUE
 
 
-@dataclass(frozen=True)
 class SemicompleteDigraph(_PairStates):
     """Digraph where every pair carries one or both orientations."""
 
-    n: int
-    states: tuple[ArcState, ...]
     _STATES = tuple(ArcState)
-
-    def __post_init__(self) -> None:
-        _check_states(self.n, self.states, ArcState)
-
-    @classmethod
-    def from_map(cls, n: int, pairs: Mapping[tuple[int, int], ArcState]) -> "SemicompleteDigraph":
-        states = [ArcState.BIORIENTED] * pair_count(n)
-        seen = set()
-        for (u, v), arc in pairs.items():
-            if u > v:
-                u, v = v, u
-                arc = _flip(arc)
-            idx = pair_index(u, v, n)
-            if idx in seen:
-                raise ValueError(f"pair ({u}, {v}) listed twice")
-            seen.add(idx)
-            states[idx] = arc
-        return cls(n, tuple(states))
+    _REVERSED = (1, 0, 2)
 
     @classmethod
     def from_arcs(cls, n: int, arcs: "set[tuple[int, int]] | frozenset[tuple[int, int]]") -> "SemicompleteDigraph":
         """Build from the set of one-way arcs (tail, head); other pairs bioriented."""
-        states = [ArcState.BIORIENTED] * pair_count(n)
+        codes = bytearray([_BOTH]) * pair_count(n)
         for x, y in arcs:
             if x == y:
                 raise ValueError("loops are not allowed")
             u, v = (x, y) if x < y else (y, x)
             idx = pair_index(u, v, n)
-            if states[idx] is not ArcState.BIORIENTED:
+            if codes[idx] != _BOTH:
                 raise ValueError(f"pair ({u}, {v}) listed twice")
-            states[idx] = ArcState.FORWARD if x < y else ArcState.BACKWARD
-        return cls(n, tuple(states))
-
-    def state(self, u: int, v: int) -> ArcState:
-        if u > v:
-            return _flip(self.states[pair_index(v, u, self.n)])
-        return self.states[pair_index(u, v, self.n)]
+            codes[idx] = 0 if x < y else 1
+        return cls(n, bytes(codes))
 
     @property
     def oneway_count(self) -> int:
         """The quantity m: pairs carrying exactly one orientation."""
-        return sum(1 for s in self.states if s is not ArcState.BIORIENTED)
+        return len(self.codes) - self.codes.count(_BOTH)
 
     @property
     def bioriented_count(self) -> int:
-        return pair_count(self.n) - self.oneway_count
-
-    def density(self) -> Fraction:
-        """Exact bioriented fraction p = |bioriented pairs| / C(n, 2)."""
-        total = pair_count(self.n)
-        if total == 0:
-            return Fraction(0)
-        return Fraction(self.bioriented_count, total)
+        return self.codes.count(_BOTH)
 
     def has_arc(self, x: int, y: int) -> bool:
         """Arc x -> y present (one-way or as half of a bioriented pair)."""
-        s = self.state(min(x, y), max(x, y))
-        if s is ArcState.BIORIENTED:
-            return True
-        return (s is ArcState.FORWARD) == (x < y)
+        return self.state(x, y) is not ArcState.BACKWARD
 
     def is_tournament(self) -> bool:
-        return all(s is not ArcState.BIORIENTED for s in self.states)
+        return _BOTH not in self.codes
 
     def one_way_arcs(self) -> Iterator[tuple[int, int]]:
         """One-way arcs as (tail, head), in pair order."""
-        for (u, v), s in zip(iter_pairs(self.n), self.states):
-            if s is ArcState.FORWARD:
+        for (u, v), code in zip(iter_pairs(self.n), self.codes):
+            if code == 0:
                 yield u, v
-            elif s is ArcState.BACKWARD:
+            elif code == 1:
                 yield v, u
-
-
-def _flip(arc: ArcState) -> ArcState:
-    if arc is ArcState.FORWARD:
-        return ArcState.BACKWARD
-    if arc is ArcState.BACKWARD:
-        return ArcState.FORWARD
-    return ArcState.BIORIENTED
 
 
 Instance = Union[BicoloredGraph, SemicompleteDigraph]
@@ -378,12 +334,12 @@ def digraph_to_coloring(digraph: SemicompleteDigraph) -> BicoloredGraph:
     descending).  Forward, backward and bioriented share the codes of
     red, blue and both, so the pair codes carry over unchanged.
     """
-    return BicoloredGraph._from_codes(digraph.n, digraph.pair_codes)
+    return BicoloredGraph(digraph.n, digraph.codes)
 
 
 def coloring_to_digraph(coloring: BicoloredGraph) -> SemicompleteDigraph:
     """Inverse of :func:`digraph_to_coloring`; a state-wise bijection."""
-    return SemicompleteDigraph._from_codes(coloring.n, coloring.pair_codes)
+    return SemicompleteDigraph(coloring.n, coloring.codes)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +423,7 @@ def parse_instance(text: str) -> Instance:
     codes = _place_pairs(body, n, family)
     if codes is None:
         _diagnose_pairs(lines, start, n, family)
-    return _FAMILIES[family]._from_codes(n, codes)
+    return _FAMILIES[family](n, codes.tobytes())
 
 
 def _parse_header(lines: list[str]) -> tuple[int, str, int]:
@@ -584,9 +540,9 @@ def serialize_instance(instance: Instance) -> str:
         head = f"semi {instance.n}"
     else:
         raise TypeError(f"not an instance: {instance!r}")
+    tokens = [state.token for state in instance._STATES]
     lines = [head]
-    for (u, v), s in zip(iter_pairs(instance.n), instance.states):
-        lines.append(f"{u} {v} {s.token}")
+    lines += [f"{u} {v} {tokens[code]}" for (u, v), code in zip(iter_pairs(instance.n), instance.codes)]
     return "\n".join(lines) + "\n"
 
 
@@ -603,17 +559,17 @@ def _rng(seed: "int | np.random.Generator") -> np.random.Generator:
 def random_coloring(n: int, seed: "int | np.random.Generator") -> BicoloredGraph:
     """Uniform independent pair states over {R, B, RB}."""
     draws = _rng(seed).integers(0, 3, size=pair_count(n))
-    return BicoloredGraph._from_codes(n, draws.astype(np.int8))
+    return BicoloredGraph(n, draws.astype(np.int8).tobytes())
 
 
 def random_semicomplete(n: int, seed: "int | np.random.Generator") -> SemicompleteDigraph:
     """Uniform independent pair states over {forward, backward, bioriented}."""
     draws = _rng(seed).integers(0, 3, size=pair_count(n))
-    return SemicompleteDigraph._from_codes(n, draws.astype(np.int8))
+    return SemicompleteDigraph(n, draws.astype(np.int8).tobytes())
 
 
 def random_tournament(n: int, seed: "int | np.random.Generator") -> SemicompleteDigraph:
     """Uniform random tournament: every pair one-way, orientation a coin flip
     (a draw of 1 is forward, code 0)."""
     draws = _rng(seed).integers(0, 2, size=pair_count(n))
-    return SemicompleteDigraph._from_codes(n, (1 - draws).astype(np.int8))
+    return SemicompleteDigraph(n, (1 - draws).astype(np.int8).tobytes())

@@ -179,13 +179,16 @@ class _CliqueSolver:
     def _expand(self, cand: int, size: int) -> None:
         self.nodes += 1
         adj = self._adj_int
-        # greedy coloring: vertices listed with nondecreasing class number
+        # greedy coloring: vertices listed with nondecreasing class number;
+        # a class no larger than _best - size is never branched on (_best
+        # only grows), so its vertices are not listed
         order: list[int] = []
         bounds: list[int] = []
         color = 0
         rest = cand
         while rest:
             color += 1
+            listed = size + color > self._best
             avail = rest
             while avail:
                 bit = avail & -avail
@@ -193,8 +196,9 @@ class _CliqueSolver:
                 avail &= ~adj[v]
                 avail ^= bit
                 rest ^= bit
-                order.append(v)
-                bounds.append(color)
+                if listed:
+                    order.append(v)
+                    bounds.append(color)
         for i in range(len(order) - 1, -1, -1):
             if size + bounds[i] <= self._best:
                 return
@@ -861,7 +865,7 @@ def _cell_instance(n: int, family: str, placement: tuple[int, ...], code: int) -
     codes = np.full(pair_count(n), EdgeColor.RED_BLUE.code, dtype=np.int8)
     codes[list(placement)] = [1 - (code >> bit & 1) for bit in range(len(placement))]
     kind = BicoloredGraph if family == "coloring" else SemicompleteDigraph
-    return kind._from_codes(n, codes)
+    return kind(n, codes.tobytes())
 
 
 def oracle_cell_slice(

@@ -28,7 +28,7 @@ def _sparse_builder(kind, free, one, other):
         places = rng.choice(pair_count(n), size=m, replace=False).tolist()
         for idx, first in zip(places, rng.integers(0, 2, size=m).tolist()):
             states[idx] = one if first else other
-        return kind(n, tuple(states))
+        return kind(n, bytes(s.code for s in states))
 
     return build
 

@@ -119,9 +119,9 @@ def _half_unicolored(family, seed, n=64):
     draws[picked] = rng.integers(1, 3, size=total // 2)
     if family == "bichrome":
         choices = (EdgeColor.RED_BLUE, EdgeColor.RED, EdgeColor.BLUE)
-        return BicoloredGraph(n, tuple(choices[d] for d in draws.tolist()))
+        return BicoloredGraph(n, bytes(choices[d].code for d in draws.tolist()))
     choices = (ArcState.BIORIENTED, ArcState.FORWARD, ArcState.BACKWARD)
-    return SemicompleteDigraph(n, tuple(choices[d] for d in draws.tolist()))
+    return SemicompleteDigraph(n, bytes(choices[d].code for d in draws.tolist()))
 
 
 @pytest.mark.parametrize(

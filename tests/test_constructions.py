@@ -104,7 +104,7 @@ def test_blowup_class_size_mismatch():
     bad = SemicompleteDigraph.from_arcs(2, {(0, 1)})
     with pytest.raises(ClassSizeMismatch):
         blowup(7, 2, [bad, bad])
-    biori = SemicompleteDigraph(3, (ArcState.BIORIENTED,) * 3)
+    biori = SemicompleteDigraph(3, bytes([ArcState.BIORIENTED.code]) * 3)
     with pytest.raises(ClassSizeMismatch):
         blowup(6, 2, [biori, biori])
 

@@ -168,7 +168,7 @@ def test_split_seed_reproduces_serial_results():
 
 
 def test_all_bicolored_returns_whole_vertex_set():
-    g = BicoloredGraph(6, (EdgeColor.RED_BLUE,) * 15)
+    g = BicoloredGraph(6, bytes([EdgeColor.RED_BLUE.code]) * 15)
     w = mono_clique_trials(g, 3, 1)[0]
     assert w.vertices == (0, 1, 2, 3, 4, 5)
     assert w.color is EdgeColor.RED  # tie in pure counts goes to a red witness

@@ -1,5 +1,6 @@
 """Data model: state maps, the family reduction, and the text format."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -75,6 +76,40 @@ def test_m_accounting_exact():
     assert d.density() == Fraction(d.bioriented_count, pair_count(9))
 
 
+def test_from_map_rejects_states_of_another_kind():
+    for kind, foreign in ((BicoloredGraph, ArcState.FORWARD), (SemicompleteDigraph, EdgeColor.RED)):
+        for state in (foreign, "R", ">"):
+            for pair in ((0, 1), (1, 0)):  # a reversed pair must not skip the check
+                with pytest.raises(TypeError):
+                    kind.from_map(3, {pair: state})
+
+
+def test_constructor_validates_n_and_codes():
+    for kind in (BicoloredGraph, SemicompleteDigraph):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            kind(0, b"")
+        with pytest.raises(ValueError, match="expected 3 pair codes"):
+            kind(3, b"\0\1")
+        with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+            kind(3, b"\0\1\3")
+        for not_bytes in (kind._STATES, bytearray(3), np.zeros(3, dtype=np.int8)):
+            with pytest.raises(TypeError, match="must be bytes"):
+                kind(3, not_bytes)
+
+
+def test_instances_are_n_plus_codes():
+    codes = b"\0\1\2"
+    g, d = BicoloredGraph(3, codes), SemicompleteDigraph(3, codes)
+    for inst in (g, d):
+        assert [f.name for f in dataclasses.fields(inst)] == ["n", "codes"]
+    assert g != d  # same codes, other family
+    assert g == BicoloredGraph(3, bytes(codes)) and hash(g) == hash(BicoloredGraph(3, bytes(codes)))
+    assert repr(g.states) == "(<EdgeColor.RED: 'R'>, <EdgeColor.BLUE: 'B'>, <EdgeColor.RED_BLUE: 'RB'>)"
+    assert repr(d.states) == "(<ArcState.FORWARD: '>'>, <ArcState.BACKWARD: '<'>, <ArcState.BIORIENTED: '<>'>)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.codes = b"\2\2\2"
+
+
 # --- the reduction -----------------------------------------------------------
 
 
@@ -87,13 +122,13 @@ def test_three_cycle_maps_to_two_red_one_blue():
 
 
 def test_all_bioriented_maps_to_all_bicolored():
-    d = SemicompleteDigraph(4, (ArcState.BIORIENTED,) * 6)
+    d = SemicompleteDigraph(4, bytes([ArcState.BIORIENTED.code]) * 6)
     col = digraph_to_coloring(d)
     assert all(s is EdgeColor.RED_BLUE for s in col.states)
 
 
 def test_all_red_maps_to_ascending_tournament():
-    g = BicoloredGraph(3, (EdgeColor.RED,) * 3)
+    g = BicoloredGraph(3, bytes([EdgeColor.RED.code]) * 3)
     d = coloring_to_digraph(g)
     assert sorted(d.one_way_arcs()) == [(0, 1), (0, 2), (1, 2)]
 
@@ -294,7 +329,7 @@ def _per_line_parse(text):
     if missing:
         raise MissingPair(f"pairs never listed: {missing[:5]}{'...' if len(missing) > 5 else ''}")
     cls = BicoloredGraph if family == "bichrome" else SemicompleteDigraph
-    return cls(n, tuple(states))
+    return cls(n, bytes(s.code for s in states))
 
 
 def _reversed(text):
@@ -449,7 +484,7 @@ def _digraph(draw):
             max_size=pair_count(n),
         )
     )
-    return SemicompleteDigraph(n, tuple(states))
+    return SemicompleteDigraph(n, bytes(s.code for s in states))
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,7 +508,7 @@ def _instance(draw):
             max_size=pair_count(n),
         )
     )
-    return kind(n, tuple(states))
+    return kind(n, bytes(s.code for s in states))
 
 
 def _masks_of(n, edge):

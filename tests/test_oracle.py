@@ -42,13 +42,13 @@ def reference_scan(n, m, family, start=0, stop=None):
                 states = [EdgeColor.RED_BLUE] * pair_count(n)
                 for bit, pair in enumerate(placements[p_idx]):
                     states[pair] = EdgeColor.RED if code >> bit & 1 else EdgeColor.BLUE
-                instance = BicoloredGraph(n, tuple(states))
+                instance = BicoloredGraph(n, bytes(s.code for s in states))
                 size = max_mono_clique(instance).size
             else:
                 states = [ArcState.BIORIENTED] * pair_count(n)
                 for bit, pair in enumerate(placements[p_idx]):
                     states[pair] = ArcState.FORWARD if code >> bit & 1 else ArcState.BACKWARD
-                instance = SemicompleteDigraph(n, tuple(states))
+                instance = SemicompleteDigraph(n, bytes(s.code for s in states))
                 size = max_transitive_set(instance).size
             if best is None or size < best[0]:
                 best = (size, (p_idx << m) + code, serialize_instance(instance))

@@ -37,7 +37,7 @@ QR7 = SemicompleteDigraph.from_arcs(
 
 
 def test_all_bicolored_is_one_big_clique():
-    g = BicoloredGraph(6, (EdgeColor.RED_BLUE,) * 15)
+    g = BicoloredGraph(6, bytes([EdgeColor.RED_BLUE.code]) * 15)
     res = max_mono_clique(g)
     assert res.size == 6
     assert res.witness.vertices == (0, 1, 2, 3, 4, 5)
@@ -181,7 +181,7 @@ def _full_maximisation_clique(g):
 
 def test_clique_extraction_matches_full_maximisation(sparse_coloring):
     rng = np.random.default_rng(5151)
-    cases = [BicoloredGraph(1, ()), BicoloredGraph(9, (EdgeColor.RED_BLUE,) * 36)]
+    cases = [BicoloredGraph(1, b""), BicoloredGraph(9, bytes([EdgeColor.RED_BLUE.code]) * 36)]
     for n in range(1, 41):
         for share in (0.1, 0.5, 0.9):  # sparse, medium and dense unicolored pairs
             cases.append(sparse_coloring(n, round(share * pair_count(n)), rng))
@@ -257,10 +257,10 @@ def test_transitive_witness_vertex_set_is_lex_min_among_optima(sparse_semicomple
 
 
 def test_size_caps():
-    g = BicoloredGraph(3, (EdgeColor.RED,) * 3)
+    g = BicoloredGraph(3, bytes([EdgeColor.RED.code]) * 3)
     with pytest.raises(SizeLimitExceeded):
         max_mono_clique(g, size_cap=2)
-    d = SemicompleteDigraph(3, (ArcState.BIORIENTED,) * 3)
+    d = SemicompleteDigraph(3, bytes([ArcState.BIORIENTED.code]) * 3)
     with pytest.raises(SizeLimitExceeded):
         max_transitive_set(d, size_cap=2)
 
@@ -269,7 +269,7 @@ def test_size_caps():
 
 
 def test_verify_witness_examples():
-    all_red = BicoloredGraph(4, (EdgeColor.RED,) * 6)
+    all_red = BicoloredGraph(4, bytes([EdgeColor.RED.code]) * 6)
     assert verify_witness(all_red, MonoCliqueWitness((0, 1, 2, 3), EdgeColor.RED))
     assert not verify_witness(all_red, MonoCliqueWitness((0, 1, 2, 3), EdgeColor.BLUE))
     cyc = SemicompleteDigraph.from_arcs(3, {(0, 1), (1, 2), (2, 0)})
@@ -278,10 +278,10 @@ def test_verify_witness_examples():
 
 
 def test_verify_witness_kind_mismatch():
-    all_red = BicoloredGraph(4, (EdgeColor.RED,) * 6)
+    all_red = BicoloredGraph(4, bytes([EdgeColor.RED.code]) * 6)
     with pytest.raises(KindMismatch):
         verify_witness(all_red, TransitiveWitness((0, 1), (0, 1)))
-    d = SemicompleteDigraph(3, (ArcState.BIORIENTED,) * 3)
+    d = SemicompleteDigraph(3, bytes([ArcState.BIORIENTED.code]) * 3)
     with pytest.raises(KindMismatch):
         verify_witness(d, MonoCliqueWitness((0, 1), EdgeColor.RED))
 
