@@ -8,17 +8,18 @@ in one process in a fixed (placement, assignment code) order, so output is
 byte-identical whatever --threads says (accepted for compatibility).  Exit
 codes: 0 success, 1 a certificate claim failed, 2 a usage or input error.
 
-The environment variable RAMSEY_BUDGET overrides the oracle enumeration
-budget (number of enumerated instances per cell).
+The environment variable RAMSEY_BUDGET sets the enumeration budget of
+oracle and atlas (number of enumerated instances per cell) when --budget
+is not given.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -44,38 +45,7 @@ from .solvers import (
 
 DEFAULT_SEED = 0xB1C0
 
-__all__ = ["cli_main", "main", "RunConfig", "DEFAULT_SEED"]
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation; every handler reads its knobs from here."""
-
-    subcommand: str
-    seed: int = DEFAULT_SEED
-    trials: int = 100
-    budget: int = DEFAULT_ORACLE_BUDGET
-    out_dir: Path = Path(".")
-    instances: list[Path] = field(default_factory=list)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        explicit = getattr(args, "budget", None)
-        env = os.environ.get("RAMSEY_BUDGET")
-        budget = (
-            explicit
-            if explicit is not None
-            else int(env) if env else DEFAULT_ORACLE_BUDGET
-        )
-        paths = getattr(args, "instances", None) or getattr(args, "certificates", [])
-        return cls(
-            subcommand=args.subcommand,
-            seed=getattr(args, "seed", DEFAULT_SEED),
-            trials=getattr(args, "trials", 100),
-            budget=budget,
-            out_dir=getattr(args, "out", Path(".")),
-            instances=[Path(p) for p in paths],
-        )
+__all__ = ["cli_main", "main", "DEFAULT_SEED"]
 
 
 # ---------------------------------------------------------------------------
@@ -88,45 +58,42 @@ def _oracle_cell(n: int, m: int, family: str, budget: int) -> tuple[int, str]:
     return value, text
 
 
+def _budget(args: argparse.Namespace) -> int:
+    """--budget, else RAMSEY_BUDGET, else the default per-cell budget."""
+    if args.budget is not None:
+        return args.budget
+    env = os.environ.get("RAMSEY_BUDGET")
+    if not env:
+        return DEFAULT_ORACLE_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"RAMSEY_BUDGET is not an integer: {env!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_construct(args: argparse.Namespace) -> int:
     name = args.name
-    builder_args: dict[str, object] = {}
-    if name == "matching":
-        builder_args = {"n": args.n, "m": args.m}
-    elif name == "triangles":
-        builder_args = {"n": args.n, "m": args.m}
-    elif name == "blowup":
-        builder_args = {"n": args.n, "t": args.t, "seed": config.seed}
-    elif name == "packing":
-        builder_args = {"n": args.n, "k": args.k, "search": args.search}
-    elif name == "lex-cliques":
-        builder_args = {"n": args.n, "c": args.c}
-    elif name == "mixed-coloring":
-        builder_args = {"n": args.n, "k": args.k, "gamma": args.gamma}
-    elif name == "mixed-digraph":
-        builder_args = {
-            "n": args.n,
-            "k": args.k,
-            "gamma": args.gamma,
-            "search": args.search,
-        }
-    else:
-        print(f"error: unknown construction {name!r}", file=sys.stderr)
-        return 2
+    # every builder parameter that has a construct option of the same name
+    options = vars(args)
+    builder_args = {
+        key: options[key]
+        for key in inspect.signature(cons.BUILDERS[name]).parameters
+        if key in options
+    }
     cert = cons.BUILDERS[name](**builder_args)
 
     slug_bits = [name.replace("-", "_")]
     for key in ("n", "m", "t", "k", "c", "gamma"):
         if key in builder_args:
             slug_bits.append(f"{key}{str(builder_args[key]).replace('/', '-')}")
-    base = config.out_dir / "_".join(slug_bits)
+    base = args.out / "_".join(slug_bits)
     instance_path = base.with_suffix(".txt")
     cert_path = base.with_suffix(".cert.json")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     instance_path.write_text(serialize_instance(cert.instance))
     payload = {
         "construction": name,
@@ -156,9 +123,9 @@ def _plain(value: object) -> object:
     return value
 
 
-def _cmd_solve(args: argparse.Namespace, config: RunConfig) -> int:
-    for path in config.instances:
-        instance = parse_instance(Path(path).read_text())
+def _cmd_solve(args: argparse.Namespace) -> int:
+    for path in args.instances:
+        instance = parse_instance(path.read_text())
         if isinstance(instance, BicoloredGraph):
             family, m = "bichrome", instance.unicolored_count
             result = max_mono_clique(instance)
@@ -175,17 +142,18 @@ def _cmd_solve(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> int:
     families = (
         [("coloring", "f"), ("digraph", "F")]
         if args.family == "both"
         else [("coloring", "f")] if args.family == "coloring" else [("digraph", "F")]
     )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    budget = _budget(args)
+    args.out.mkdir(parents=True, exist_ok=True)
     values: dict[str, tuple[int, Path]] = {}
     for family, label in families:
-        value, text = _oracle_cell(args.n, args.m, family, config.budget)
-        path = config.out_dir / f"oracle_n{args.n}_m{args.m}_{family}.txt"
+        value, text = _oracle_cell(args.n, args.m, family, budget)
+        path = args.out / f"oracle_n{args.n}_m{args.m}_{family}.txt"
         path.write_text(text)
         values[label] = (value, path)
         print(f"{label}({args.n},{args.m})={value} instance={path}")
@@ -193,25 +161,25 @@ def _cmd_oracle(args: argparse.Namespace, config: RunConfig) -> int:
         print("n,m,f,F,instance_file")
         f_val = values.get("f", ("", None))[0]
         big_f_val = values.get("F", ("", None))[0]
-        base = config.out_dir / f"oracle_n{args.n}_m{args.m}"
+        base = args.out / f"oracle_n{args.n}_m{args.m}"
         print(f"{args.n},{args.m},{f_val},{big_f_val},{base}")
     return 0
 
 
-def _cmd_lowerbound(args: argparse.Namespace, config: RunConfig) -> int:
-    for path in config.instances:
-        instance = parse_instance(Path(path).read_text())
+def _cmd_lowerbound(args: argparse.Namespace) -> int:
+    for path in args.instances:
+        instance = parse_instance(path.read_text())
         if isinstance(instance, BicoloredGraph):
-            witness, stats = mono_clique_trials(instance, config.trials, config.seed)
+            witness, stats = mono_clique_trials(instance, args.trials, args.seed)
             family = "bichrome"
             detail = f"color={witness.color.token}"
         else:
-            witness, stats = transitive_trials(instance, config.trials, config.seed)
+            witness, stats = transitive_trials(instance, args.trials, args.seed)
             family = "semi"
             detail = "order=" + ",".join(map(str, witness.order))
         print(
             f"file={path} family={family} n={instance.n} "
-            f"trials={stats.trials} seed={config.seed}"
+            f"trials={stats.trials} seed={args.seed}"
         )
         print(f"best_size={len(witness.vertices)}")
         print("witness=" + ",".join(map(str, witness.vertices)))
@@ -236,7 +204,7 @@ def _print_reports(reports: list) -> None:
         print(f"{r.name},{r.side},{str(r.exact).lower()},{_format_value(r.value)},{params}")
 
 
-def _cmd_bound(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_bound(args: argparse.Namespace) -> int:
     name = args.name
     if name == "classic":
         _print_reports(bounds_mod.classic_bounds(args.n))
@@ -322,6 +290,8 @@ def _load_certificate(cert_path: Path) -> tuple[dict, Instance]:
             raise ValueError(f"{cert_path}: certificate lacks {key}")
         if type(payload[key]) is not kind:
             raise ValueError(f"{cert_path}: {key} is not of type {kind.__name__}")
+    if type(payload.get("equality", False)) is not bool:
+        raise ValueError(f"{cert_path}: equality is not of type bool")
     name = payload["instance_file"]
     base = cert_path.parent.resolve()
     target = (base / name).resolve()
@@ -330,9 +300,9 @@ def _load_certificate(cert_path: Path) -> tuple[dict, Instance]:
     return payload, parse_instance(target.read_text())
 
 
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
-    for cert_path in config.instances:
+    for cert_path in args.certificates:
         payload, instance = _load_certificate(cert_path)
         failures = cons.verify_claims(
             instance,
@@ -348,8 +318,8 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_atlas(args: argparse.Namespace, config: RunConfig) -> int:
-    budget = config.budget
+def _cmd_atlas(args: argparse.Namespace) -> int:
+    budget = _budget(args)
     print("n,m,f,F,violations")
     prev_f: "int | None" = None
     prev_F: "int | None" = None
@@ -428,12 +398,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_fraction, default="1")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--search", action="store_true",
-                   help="allow the order-13 extremal tournament search")
+                   help="no effect; all extremal tournaments (orders 1, 3, 7, 13) are bundled")
     p.add_argument("--out", type=Path, default=Path("."))
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("solve", help="exact optimum of instance files")
-    p.add_argument("instances", nargs="+")
+    p.add_argument("instances", nargs="+", type=Path)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="worst-case value of one (n, m) cell")
@@ -447,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("lowerbound", help="randomized lower-bound witness")
-    p.add_argument("instances", nargs="+")
+    p.add_argument("instances", nargs="+", type=Path)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_lowerbound)
@@ -473,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("verify", help="re-check construction certificates")
-    p.add_argument("certificates", nargs="+")
+    p.add_argument("certificates", nargs="+", type=Path)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("atlas", help="oracle grid cross-tabulated against formulas")
@@ -493,7 +463,7 @@ def cli_main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args, RunConfig.from_args(args))
+        return args.func(args)
     except (
         BudgetExceeded,
         cons.InfeasibleParams,

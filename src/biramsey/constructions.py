@@ -31,23 +31,19 @@ the three tournament builders one disjoint union, so
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .model import (
-    ArcState,
     BicoloredGraph,
     EdgeColor,
     Instance,
     SemicompleteDigraph,
-    _pair_masks,
     pair_count,
     pair_index,
     random_tournament,
@@ -292,104 +288,30 @@ def blowup(
 # Extremal tournaments and their packings
 
 
-def _arc_masks(digraph: SemicompleteDigraph) -> tuple[list[int], list[int]]:
-    """Out- and in-neighbour bitmasks under ``has_arc``."""
-    codes = digraph.pair_codes
-    ascending = codes != ArcState.BACKWARD.code
-    descending = codes != ArcState.FORWARD.code
-    return (
-        _pair_masks(digraph.n, ascending, descending),
-        _pair_masks(digraph.n, descending, ascending),
-    )
+# k -> offsets D of the largest tournament with no transitive (k+1)-subset:
+# the circulant i -> i + d (mod EXTREMAL_ORDER[k]) for d in D.  Orders 3 and
+# 7 are the directed triangle and the quadratic-residue tournament; the
+# order-13 entry is one of the four circulants on 13 vertices with no
+# transitive 5-subset.
+_EXTREMAL_OFFSETS = {1: (), 2: (1,), 3: (1, 2, 4), 4: (1, 3, 7, 8, 9, 11)}
 
 
-def _subset_has_cyclic_triangle(out: list[int], into: list[int], subset: tuple[int, ...]) -> bool:
-    mask = sum(1 << v for v in subset)
-    for a, b in combinations(subset, 2):
-        # a third vertex c closing a -> b -> c -> a, or b -> a -> c -> b
-        if out[a] >> b & 1:
-            if out[b] & into[a] & mask:
-                return True
-        elif out[a] & into[b] & mask:
-            return True
-    return False
+def extremal_tournament(k: int) -> ExtremalTournament:
+    """Largest tournament with no transitive (k+1)-subset, for k = 1..4.
 
-
-def _max_transitive_by_subsets(digraph: SemicompleteDigraph) -> int:
-    """For tournaments only: largest k with some k-subset free of cyclic
-    triangles.  Independent of the feedback-vertex-set solver."""
-    out, into = _arc_masks(digraph)
-    best = min(digraph.n, 2)
-    for k in range(3, digraph.n + 1):
-        if any(
-            not _subset_has_cyclic_triangle(out, into, s)
-            for s in combinations(range(digraph.n), k)
-        ):
-            best = k
-        else:
-            break
-    return best
-
-
-def _circulant_tournament(order: int, offsets: frozenset[int]) -> SemicompleteDigraph:
-    arcs = {
-        (u, (u + d) % order)
-        for u in range(order)
-        for d in offsets
-    }
-    return SemicompleteDigraph.from_arcs(order, arcs)
-
-
-def _search_order13() -> SemicompleteDigraph:
-    """Find a 13-vertex tournament with no transitive 5-subset.
-
-    Deterministic scan of the 64 circulant candidates (one offset choice
-    per difference pair {d, 13-d}), each verified exhaustively over the
-    1287 5-subsets; four of them qualify and the scan returns the first.
+    All four are circulants, bundled as offset tables (orders 1, 3, 7 and
+    13).  Every returned tournament is re-verified at load by the exact
+    solver.
     """
-    order = 13
-    for code in range(64):
-        offsets = frozenset(
-            (d + 1) if code >> d & 1 else order - (d + 1) for d in range(6)
-        )
-        cand = _circulant_tournament(order, offsets)
-        if _max_transitive_by_subsets(cand) == 4:
-            return cand
-    raise UnsupportedK("no circulant 13-vertex tournament avoids transitive 5-sets")
-
-
-_CACHE_NAME = "extremal_tournament_k4_order13.json"
-
-
-def extremal_tournament(
-    k: int, search: bool = False, cache_dir: "str | Path | None" = None
-) -> ExtremalTournament:
-    """Largest tournament with no transitive (k+1)-subset.
-
-    k = 1, 2, 3 are bundled (orders 1, 3, 7); k = 4 (order 13) is found by
-    search behind the ``search`` flag and can be cached to ``cache_dir``.
-    Every returned tournament is re-verified at load.
-    """
-    if k == 1:
-        d = SemicompleteDigraph.from_arcs(1, set())
-    elif k == 2:
-        d = SemicompleteDigraph.from_arcs(3, {(0, 1), (1, 2), (2, 0)})
-    elif k == 3:
-        # quadratic-residue tournament: i -> i + {1, 2, 4} mod 7
-        d = _circulant_tournament(7, frozenset({1, 2, 4}))
-    elif k == 4:
-        if not search:
-            raise UnsupportedK("k=4 needs the search flag (order-13 tournament)")
-        d = _load_or_search_order13(cache_dir)
-    else:
-        raise UnsupportedK(f"no extremal tournament bundled or searchable for k={k}")
+    if k not in _EXTREMAL_OFFSETS:
+        raise UnsupportedK(f"no extremal tournament bundled for k={k}")
     order = EXTREMAL_ORDER[k]
-    if d.n != order or not d.is_tournament():
-        raise UnsupportedK(f"internal: bad extremal tournament for k={k}")
-    if k <= 3:
-        found = max_transitive_set(d).size
-    else:
-        found = _max_transitive_by_subsets(d)
+    d = SemicompleteDigraph.from_arcs(
+        order, {(u, (u + s) % order) for u in range(order) for s in _EXTREMAL_OFFSETS[k]}
+    )
+    if not d.is_tournament():
+        raise UnsupportedK(f"internal: offsets for k={k} do not give a tournament")
+    found = max_transitive_set(d).size
     if found != k:
         raise UnsupportedK(
             f"internal: extremal tournament for k={k} verified to {found}"
@@ -397,27 +319,14 @@ def extremal_tournament(
     return ExtremalTournament(k, order, d)
 
 
-def _load_or_search_order13(cache_dir: "str | Path | None") -> SemicompleteDigraph:
-    from .exhaustive import tournament_from_code, tournament_to_code
-
-    path = Path(cache_dir) / _CACHE_NAME if cache_dir is not None else None
-    if path is not None and path.exists():
-        code = json.loads(path.read_text())["code"]
-        return tournament_from_code(code, 13)
-    d = _search_order13()
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"order": 13, "code": tournament_to_code(d)}) + "\n")
-    return d
-
-
-def tournament_packing(n: int, k: int, search: bool = False) -> ConstructionCert:
-    """Disjoint copies of the k-extremal tournament, cross pairs bioriented.
+def tournament_packing(n: int, k: int) -> ConstructionCert:
+    """Disjoint copies of the k-extremal tournament (k = 1..4, orders 1, 3,
+    7, 13), cross pairs bioriented.
 
     With order q = one less than the forcing order, m = n(q-1)/2 and the
     ceiling is k * n / q, attained (each copy contributes exactly k).
     """
-    extremal = extremal_tournament(k, search=search)
+    extremal = extremal_tournament(k)
     q = extremal.order
     if n % q != 0:
         raise DivisibilityViolation(f"{q} must divide n, got n={n}")
@@ -540,9 +449,7 @@ def mixed_coloring(n: int, k: int, gamma: "Fraction | int | float") -> Construct
     )
 
 
-def mixed_digraph(
-    n: int, k: int, gamma: "Fraction | int | float", search: bool = False
-) -> ConstructionCert:
+def mixed_digraph(n: int, k: int, gamma: "Fraction | int | float") -> ConstructionCert:
     """Disjoint extremal tournaments of two consecutive orders plus isolated
     vertices, cross pairs bioriented; the per-copy optima sum to the integer
     ceiling, recorded next to the clean weighted formula value.
@@ -554,8 +461,8 @@ def mixed_digraph(
         raise InfeasibleParams("gamma must lie in [0, 1]")
     if k not in EXTREMAL_ORDER or (k + 1) not in EXTREMAL_ORDER:
         raise UnsupportedK(f"k={k} needs extremal tournaments for k and k+1")
-    small = extremal_tournament(k, search=search)
-    large = extremal_tournament(k + 1, search=search)
+    small = extremal_tournament(k)
+    large = extremal_tournament(k + 1)
     copies_small = int(n * gamma / small.order)
     copies_large = int(n * (1 - gamma) / large.order)
     covered = copies_small * small.order + copies_large * large.order

@@ -142,13 +142,7 @@ class _CliqueSolver:
             self._to_int[original] = internal
         self._adj_int = [0] * n
         for u in range(n):
-            mask = 0
-            a = adj[u]
-            while a:
-                v = (a & -a).bit_length() - 1
-                a &= a - 1
-                mask |= 1 << self._to_int[v]
-            self._adj_int[self._to_int[u]] = mask
+            self._adj_int[self._to_int[u]] = self._translate(adj[u])
         self.nodes = 0
 
     def _translate(self, mask: int) -> int:

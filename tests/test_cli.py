@@ -314,6 +314,65 @@ def test_verify_malformed_certificate_is_input_error(tmp_path, payload, message)
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "equality,expected",
+    [(True, 1), (False, 0), ("missing", 0), ("false", 2), (1, 2), (0, 2), (None, 2)],
+)
+def test_verify_equality_must_be_a_json_boolean(tmp_path, equality, expected):
+    # the ceiling is raised by one, so only a true equality claim fails;
+    # "false", 1, 0 and null are malformed, not read by truthiness
+    run_cli(["construct", "matching", "--n", "8", "--m", "4", "--out", str(tmp_path)])
+    cert = tmp_path / "matching_n8_m4.cert.json"
+    payload = json.loads(cert.read_text())
+    payload["claimed_bound"] += 1
+    del payload["equality"]
+    if equality != "missing":
+        payload["equality"] = equality
+    cert.write_text(json.dumps(payload))
+    code, out, err = run_cli(["verify", str(cert)])
+    assert code == expected
+    if expected == 2:
+        assert "equality is not of type bool" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "classic", "--n", "8"], ["construct", "matching", "--n", "4", "--m", "2"],
+     ["solve", "instance.txt"]],
+)
+def test_bad_budget_env_ignored_where_no_budget_is_used(tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("RAMSEY_BUDGET", "abc")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "instance.txt").write_text(serialize_instance(BicoloredGraph(2, b"\2")))
+    code, _, err = run_cli(argv)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["oracle", "--n", "3", "--m", "1"], ["atlas", "--n-max", "2"]]
+)
+def test_bad_budget_env_is_input_error(tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("RAMSEY_BUDGET", "abc")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error:") and "RAMSEY_BUDGET" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_search_flag_has_no_effect(tmp_path):
+    outputs = []
+    for flags in ([], ["--search"]):
+        out_dir = tmp_path / ("with" if flags else "without")
+        code, out, _ = run_cli(
+            ["construct", "packing", "--n", "39", "--k", "4", *flags, "--out", str(out_dir)]
+        )
+        assert code == 0
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        outputs.append((out.replace(str(out_dir), "OUT"), files))
+    assert outputs[0] == outputs[1]
+
+
 def _solve_lines(tmp_path, instance):
     path = tmp_path / "instance.txt"
     path.write_text(serialize_instance(instance))

@@ -20,13 +20,18 @@ from biramsey.constructions import (
     triangle_digraph,
     verify_claims,
 )
+from biramsey.exhaustive import tournament_to_code
 from biramsey.model import (
     ArcState,
     EdgeColor,
     SemicompleteDigraph,
     iter_pairs,
 )
-from biramsey.solvers import max_mono_clique, max_transitive_set
+from biramsey.solvers import (
+    max_mono_clique,
+    max_transitive_set,
+    max_transitive_set_by_enumeration,
+)
 
 
 def test_matching_coloring_examples():
@@ -110,22 +115,21 @@ def test_blowup_class_size_mismatch():
 
 
 def test_extremal_tournaments_bundled():
-    for k in (1, 2, 3):
+    # two independent routes: branch and bound, and subset enumeration
+    for k in (1, 2, 3, 4):
         et = extremal_tournament(k)
         assert et.order == EXTREMAL_ORDER[k]
         assert et.digraph.is_tournament()
         assert max_transitive_set(et.digraph).size == k
+        assert max_transitive_set_by_enumeration(et.digraph) == k
 
 
-def test_extremal_tournament_k4_behind_flag(tmp_path):
-    with pytest.raises(UnsupportedK):
-        extremal_tournament(4)
-    et = extremal_tournament(4, search=True, cache_dir=tmp_path)
-    assert et.order == 13
-    cached = extremal_tournament(4, search=True, cache_dir=tmp_path)
-    assert cached.digraph == et.digraph
-    with pytest.raises(UnsupportedK):
-        extremal_tournament(5, search=True)
+def test_extremal_tournament_k4_bundled():
+    # the circulant i -> i + {1, 3, 7, 8, 9, 11} mod 13, loaded without a flag
+    assert tournament_to_code(extremal_tournament(4).digraph) == 214029147248559233193413
+    for k in (0, 5):
+        with pytest.raises(UnsupportedK):
+            extremal_tournament(k)
 
 
 def test_tournament_packing_examples():

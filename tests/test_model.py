@@ -31,7 +31,6 @@ from biramsey.model import (
     random_semicomplete,
     serialize_instance,
 )
-from biramsey.constructions import _arc_masks
 from biramsey.heuristics import blue_edge_graph, one_way_graph, red_edge_graph
 from biramsey.solvers import (
     _color_adjacency,
@@ -541,7 +540,3 @@ def test_property_pair_masks_match_the_enum_route(instance):
             n, lambda u, v: arc(u, v) and not arc(v, u)
         )
         assert one_way_graph(instance) == _masks_of(n, lambda u, v: arc(u, v) != arc(v, u))
-        assert _arc_masks(instance) == (
-            _masks_of(n, arc),
-            _masks_of(n, lambda u, v: arc(v, u)),
-        )
