@@ -18,7 +18,6 @@ __all__ = [
     "BoundReport",
     "ParameterOutOfRange",
     "DegenerateDensity",
-    "NoFeasibleK",
     "classic_bounds",
     "first_moment_bound",
     "blowup_bound",
@@ -45,12 +44,6 @@ class ParameterOutOfRange(ValueError):
 
 class DegenerateDensity(ValueError):
     pass
-
-
-class NoFeasibleK(ValueError):
-    """No k in range certifies; :func:`lll_threshold` reports this state in
-    its result (``feasible: False``) instead of raising, but callers who
-    need to escalate can raise it themselves."""
 
 
 @dataclass(frozen=True)

@@ -77,13 +77,14 @@ def _budget(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     name = args.name
-    # every builder parameter that has a construct option of the same name
-    options = vars(args)
-    builder_args = {
-        key: options[key]
-        for key in inspect.signature(cons.BUILDERS[name]).parameters
-        if key in options
-    }
+    params = inspect.signature(cons.BUILDERS[name]).parameters
+    # builder options are in ``args`` only when given on the command line
+    given = vars(args)
+    stray = [f"--{key}" for key in _CONSTRUCT_OPTIONS if key in given and key not in params]
+    if stray:
+        raise ValueError(f"construct {name} does not take {', '.join(stray)}")
+    options = {key: default for key, (_, default) in _CONSTRUCT_OPTIONS.items()} | given
+    builder_args = {key: options[key] for key in params if key in options}
     cert = cons.BUILDERS[name](**builder_args)
 
     slug_bits = [name.replace("-", "_")]
@@ -244,9 +245,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         _print_reports(bounds_mod.lower_bound_formulas(args.n, args.m))
     elif name == "atlas":
         _bound_atlas(args.n_max, args.m_max)
-    else:
-        print(f"error: unknown bound {name!r}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -377,6 +375,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+# construct options that only some builders take: (type, default)
+_CONSTRUCT_OPTIONS = {
+    "m": (int, 0),
+    "t": (int, 1),
+    "k": (int, 2),
+    "c": (int, 1),
+    "gamma": (_fraction, Fraction(1)),
+    "seed": (int, DEFAULT_SEED),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biramsey",
@@ -391,12 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build an extremal instance plus certificate")
     p.add_argument("name", choices=sorted(cons.BUILDERS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--gamma", type=_fraction, default="1")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for key, (kind, _) in _CONSTRUCT_OPTIONS.items():
+        p.add_argument(f"--{key}", type=kind, default=argparse.SUPPRESS)
     p.add_argument("--search", action="store_true",
                    help="no effect; all extremal tournaments (orders 1, 3, 7, 13) are bundled")
     p.add_argument("--out", type=Path, default=Path("."))

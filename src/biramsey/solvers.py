@@ -4,7 +4,9 @@
   color, over both colors (bicolored pairs belong to both).
 * :func:`max_transitive_set` - largest vertex set whose induced one-way
   arcs are acyclic; equivalently n minus a minimum directed feedback
-  vertex set of the one-way digraph.
+  vertex set of the one-way digraph.  Its strongly connected components
+  come from mask reachability, and its witness order from Kahn's
+  algorithm on the same masks.
 * :func:`brute_force_f` / :func:`brute_force_F` - the worst-case values
   f(n, m) and F(n, m): minimum over every placement of m unicolored /
   one-way pairs and every color / orientation assignment of the maximum
@@ -24,7 +26,6 @@ Witness extraction, one yes/no search per vertex, runs on both.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -279,16 +280,16 @@ class _AcyclicSolver:
     set and branch on deleting each of its vertices.  ``forced`` vertices
     may not be deleted (used for lexicographic witness extraction).
     Pruning uses a greedy incumbent plus a vertex-disjoint cycle packing
-    (each packed cycle forces one deletion).
+    (each packed cycle forces one deletion).  The in-masks and the greedy
+    incumbent's admission test come from the mask helpers
+    :func:`_transpose` and :func:`_reach`, which also give the strongly
+    connected components and topological orders around the search.
     """
 
     def __init__(self, n: int, out: list[int]):
         self.n = n
         self.out = out
-        self.into = [0] * n
-        for u in range(n):
-            for v in _bits(out[u]):
-                self.into[v] |= 1 << u
+        self.into = _transpose(out, (1 << n) - 1)
         self.nodes = 0
         self._memo: dict[tuple[int, int], int] = {}
 
@@ -381,27 +382,14 @@ class _AcyclicSolver:
         cycle runs through v: v joins iff nothing it reaches inside the set
         has an arc back to v.
         """
-        if not _subset_is_acyclic(forced, self.out):
-            return -1
         out, into = self.out, self.into
+        if not _subset_is_acyclic(forced, out):
+            return -1
         chosen = forced
-        rest = allowed & ~forced
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
+        for v in _bits(allowed & ~forced):
             back = into[v] & chosen
-            reach = frontier = out[v] & chosen if back else 0
-            while frontier and not reach & back:
-                step = 0
-                while frontier:
-                    x = (frontier & -frontier).bit_length() - 1
-                    frontier &= frontier - 1
-                    step |= out[x]
-                frontier = step & chosen & ~reach
-                reach |= frontier
-            if not reach & back:
-                chosen |= bit
+            if not back or not _reach(out, out[v] & chosen, chosen) & back:
+                chosen |= 1 << v
         return chosen
 
     def max_acyclic(self, allowed: int, forced: int = 0, floor: int = -1) -> int:
@@ -497,55 +485,6 @@ def _one_way_out_masks(digraph: SemicompleteDigraph) -> list[int]:
     )
 
 
-def _strongly_connected_components(n: int, out: list[int], mask: int) -> list[int]:
-    """Tarjan SCCs of the sub-digraph on ``mask``; returns component masks."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    components: list[int] = []
-    counter = 0
-
-    for root in range(n):
-        if not mask >> root & 1 or root in index:
-            continue
-        work = [(root, iter(_bits(out[root] & mask)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(_bits(out[w] & mask))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = 0
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp |= 1 << w
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
-
-
 def _bits(mask: int) -> Iterable[int]:
     while mask:
         bit = mask & -mask
@@ -553,26 +492,57 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= bit
 
 
+def _transpose(out: list[int], mask: int) -> list[int]:
+    """In-masks of the arcs inside ``mask``."""
+    into = [0] * len(out)
+    for u in _bits(mask):
+        for v in _bits(out[u] & mask):
+            into[v] |= 1 << u
+    return into
+
+
+def _reach(out: list[int], seen: int, mask: int) -> int:
+    """``seen`` plus every vertex reachable from it along arcs inside ``mask``."""
+    frontier = seen
+    while frontier:
+        step = 0
+        for v in _bits(frontier):
+            step |= out[v]
+        frontier = step & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def _strongly_connected_components(n: int, out: list[int], mask: int) -> list[int]:
+    """Component masks of the sub-digraph on ``mask``, forward-backward: the
+    lowest vertex left reaches, and is reached from, exactly its component."""
+    into = _transpose(out, mask)
+    components = []
+    while mask:
+        low = mask & -mask
+        comp = _reach(out, low, mask) & _reach(into, low, mask)
+        components.append(comp)
+        mask ^= comp
+    return components
+
+
 def _topological_order(vertices: tuple[int, ...], out: list[int]) -> tuple[int, ...]:
     """Deterministic topological order of the one-way arcs on ``vertices``
     (smallest vertex id first among available)."""
-    vset = 0
-    for v in vertices:
-        vset |= 1 << v
-    indeg = {v: 0 for v in vertices}
-    for v in vertices:
-        for w in _bits(out[v] & vset):
-            indeg[w] += 1
-    heap = [v for v in vertices if indeg[v] == 0]
-    heapq.heapify(heap)
+    vset = sum(1 << v for v in vertices)
+    into = _transpose(out, vset)
+    ready = sum(1 << v for v in vertices if not into[v])
+    placed = 0
     order = []
-    while heap:
-        v = heapq.heappop(heap)
+    while ready:
+        bit = ready & -ready
+        ready ^= bit
+        placed |= bit
+        v = bit.bit_length() - 1
         order.append(v)
         for w in _bits(out[v] & vset):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
+            if not into[w] & ~placed:
+                ready |= 1 << w
     if len(order) != len(vertices):
         raise ValueError("selected vertex set is not acyclic")
     return tuple(order)
@@ -607,7 +577,7 @@ def max_transitive_set(
     chosen = 0
     # cycles never cross strongly connected components, so solve per SCC
     for comp in sorted(_strongly_connected_components(digraph.n, out, full)):
-        if bin(comp).count("1") == 1:
+        if comp & (comp - 1) == 0:
             chosen |= comp
             continue
         target = solver.max_acyclic(comp)
@@ -689,30 +659,16 @@ def max_mono_clique_by_enumeration(graph: BicoloredGraph) -> int:
 
 
 def _subset_is_acyclic(mask: int, out: list[int]) -> bool:
-    # repeatedly peel vertices with no in-arcs inside the set
-    remaining = mask
-    while remaining:
-        progress = False
-        m = remaining
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            m ^= bit
-            has_in = False
-            others = remaining & ~bit
-            o = others
-            while o:
-                b2 = o & -o
-                u = b2.bit_length() - 1
-                o ^= b2
-                if out[u] >> v & 1:
-                    has_in = True
-                    break
-            if not has_in:
-                remaining ^= bit
-                progress = True
-        if not progress:
+    """True iff the arcs inside ``mask`` form no cycle: repeatedly peel the
+    sinks, vertices with no out-arc inside what is left."""
+    while mask:
+        rest = mask
+        for v in _bits(mask):
+            if not out[v] & rest:
+                rest ^= 1 << v
+        if rest == mask:
             return False
+        mask = rest
     return True
 
 

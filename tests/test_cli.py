@@ -506,3 +506,18 @@ def test_construct_outputs_are_pinned(tmp_path, spec):
         for path in tmp_path.iterdir()
     }
     assert written == CONSTRUCT_SHA256[spec]
+
+
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        (["construct", "packing", "--n", "9", "--k", "2", "--m", "99", "--t", "5"], "--m, --t"),
+        (["construct", "matching", "--n", "6", "--m", "2", "--seed", "5"], "--seed"),
+    ],
+)
+def test_construct_rejects_options_the_builder_does_not_take(tmp_path, argv, stray):
+    code, out, err = run_cli([*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and stray in err
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 """Exact solvers against independent subset-enumeration oracles."""
 
+import heapq
 from itertools import combinations
 
 import numpy as np
@@ -534,3 +535,133 @@ def test_greedy_incumbent_matches_peel():
                 expected = _peeled_incumbent(out, allowed | forced, forced)
                 assert solver._greedy_incumbent(allowed | forced, forced) == expected
     assert min(kinds.values()) >= 200
+
+
+# --- mask reachability helpers -------------------------------------------------
+
+
+def _mask_bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _closure(out, mask):
+    """reach[v]: v plus every vertex of ``mask`` it reaches inside ``mask``,
+    by a Warshall closure over the bitmask rows."""
+    reach = {v: (1 << v) | out[v] & mask for v in _mask_bits(mask)}
+    for k in _mask_bits(mask):
+        for v in _mask_bits(mask):
+            if reach[v] >> k & 1:
+                reach[v] |= reach[k]
+    return reach
+
+
+def test_strongly_connected_components_match_mutual_reachability():
+    from biramsey.solvers import _strongly_connected_components
+
+    rng = np.random.default_rng(5151)
+    nontrivial = 0
+    for out in _one_way_digraphs(rng):
+        n = len(out)
+        for mask in [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(6)]:
+            reach = _closure(out, mask)
+            comps = _strongly_connected_components(n, out, mask)
+            union = 0
+            for comp in comps:
+                assert comp and not comp & union  # nonempty and disjoint
+                union |= comp
+                v = _mask_bits(comp)[0]
+                mutual = [u for u in _mask_bits(mask) if reach[v] >> u & 1 and reach[u] >> v & 1]
+                assert comp == sum(1 << u for u in mutual)
+                nontrivial += comp & (comp - 1) != 0
+            assert union == mask
+    assert nontrivial >= 300
+
+
+def _heap_kahn(vertices, out):
+    """Kahn's algorithm with a heap over an in-degree dict: smallest vertex
+    id first among the available ones."""
+    vset = sum(1 << v for v in vertices)
+    indeg = {v: 0 for v in vertices}
+    for v in vertices:
+        for w in _mask_bits(out[v] & vset):
+            indeg[w] += 1
+    heap = [v for v in vertices if indeg[v] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for w in _mask_bits(out[v] & vset):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, w)
+    if len(order) != len(vertices):
+        raise ValueError("selected vertex set is not acyclic")
+    return tuple(order)
+
+
+def test_topological_order_matches_heap_kahn():
+    from biramsey.solvers import _AcyclicSolver, _topological_order
+
+    rng = np.random.default_rng(6262)
+    cyclic = 0
+    for out in _one_way_digraphs(rng):
+        n = len(out)
+        solver = _AcyclicSolver(n, out)
+        for _ in range(4):
+            allowed = int(rng.integers(0, 1 << n))
+            vertices = _mask_bits(solver._greedy_incumbent(allowed, 0))
+            shuffled = tuple(rng.permutation(vertices).tolist())
+            assert _topological_order(shuffled, out) == _heap_kahn(shuffled, out)
+            cycle = solver._shortest_cycle(allowed)
+            if cycle is not None:
+                cyclic += 1
+                for order in (_topological_order, _heap_kahn):
+                    with pytest.raises(ValueError):
+                        order(tuple(_mask_bits(allowed)), out)
+    assert cyclic >= 100
+
+
+def test_topological_order_matches_heap_kahn_on_trial_witnesses(sparse_semicomplete):
+    from biramsey.heuristics import transitive_trials
+    from biramsey.solvers import _one_way_out_masks, _topological_order
+
+    rng = np.random.default_rng(7373)
+    n = 256
+    for m in (n, 4 * n, n * (n - 1) // 4):
+        d = sparse_semicomplete(n, m, rng)
+        witness, _ = transitive_trials(d, 20, int(rng.integers(0, 2**31)))
+        out = _one_way_out_masks(d)
+        assert witness.order == _heap_kahn(witness.vertices, out)
+        assert _topological_order(witness.vertices, out) == witness.order
+        assert verify_witness(d, witness)
+
+
+def _source_peel_is_acyclic(mask, out):
+    """Repeatedly peel vertices with no in-arc from the rest of the set,
+    scanning every other vertex for an arc into each candidate."""
+    remaining = mask
+    while remaining:
+        progress = False
+        for v in _mask_bits(remaining):
+            if not any(out[u] >> v & 1 for u in _mask_bits(remaining) if u != v):
+                remaining &= ~(1 << v)
+                progress = True
+        if not progress:
+            return False
+    return True
+
+
+def test_subset_is_acyclic_matches_source_peel():
+    from biramsey.solvers import _subset_is_acyclic
+
+    rng = np.random.default_rng(8484)
+    verdicts = {True: 0, False: 0}
+    for out in _one_way_digraphs(rng):
+        n = len(out)
+        for _ in range(12):
+            mask = int(rng.integers(0, 1 << n))
+            expected = _source_peel_is_acyclic(mask, out)
+            assert _subset_is_acyclic(mask, out) == expected
+            verdicts[expected] += 1
+    assert min(verdicts.values()) >= 300
