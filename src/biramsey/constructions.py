@@ -92,9 +92,16 @@ class PackingCollision(RuntimeError):
     """The red and blue packings touched the same pair; an internal bug."""
 
 
+# k -> offsets D of the largest tournament with no transitive (k+1)-subset:
+# the circulant i -> i + d (mod q) for d in D.  A circulant tournament of
+# order q has (q - 1) / 2 offsets.  Orders 3 and 7 are the directed triangle
+# and the quadratic-residue tournament; the order-13 entry is one of the four
+# circulants on 13 vertices with no transitive 5-subset.
+_EXTREMAL_OFFSETS = {1: (), 2: (1,), 3: (1, 2, 4), 4: (1, 3, 7, 8, 9, 11)}
+
 # order of the largest tournament with no transitive (k+1)-subset,
 # i.e. one less than the smallest order forcing a transitive (k+1)-set
-EXTREMAL_ORDER = {1: 1, 2: 3, 3: 7, 4: 13}
+EXTREMAL_ORDER = {k: 2 * len(offsets) + 1 for k, offsets in _EXTREMAL_OFFSETS.items()}
 
 
 @dataclass(frozen=True)
@@ -286,14 +293,6 @@ def blowup(
 
 # ---------------------------------------------------------------------------
 # Extremal tournaments and their packings
-
-
-# k -> offsets D of the largest tournament with no transitive (k+1)-subset:
-# the circulant i -> i + d (mod EXTREMAL_ORDER[k]) for d in D.  Orders 3 and
-# 7 are the directed triangle and the quadratic-residue tournament; the
-# order-13 entry is one of the four circulants on 13 vertices with no
-# transitive 5-subset.
-_EXTREMAL_OFFSETS = {1: (), 2: (1,), 3: (1, 2, 4), 4: (1, 3, 7, 8, 9, 11)}
 
 
 def extremal_tournament(k: int) -> ExtremalTournament:

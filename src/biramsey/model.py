@@ -175,7 +175,7 @@ class _PairStates:
         for (u, v), state in pairs.items():
             if not isinstance(state, kind):
                 raise TypeError(f"pair state {state!r} is not a {kind.__name__}")
-            code = state.code
+            code = cls._STATES.index(state)  # state.code rebuilds a list per call
             if u > v:
                 u, v, code = v, u, cls._REVERSED[code]
             idx = pair_index(u, v, n)
@@ -236,16 +236,7 @@ class SemicompleteDigraph(_PairStates):
     @classmethod
     def from_arcs(cls, n: int, arcs: "set[tuple[int, int]] | frozenset[tuple[int, int]]") -> "SemicompleteDigraph":
         """Build from the set of one-way arcs (tail, head); other pairs bioriented."""
-        codes = bytearray([_BOTH]) * pair_count(n)
-        for x, y in arcs:
-            if x == y:
-                raise ValueError("loops are not allowed")
-            u, v = (x, y) if x < y else (y, x)
-            idx = pair_index(u, v, n)
-            if codes[idx] != _BOTH:
-                raise ValueError(f"pair ({u}, {v}) listed twice")
-            codes[idx] = 0 if x < y else 1
-        return cls(n, bytes(codes))
+        return cls.from_map(n, dict.fromkeys(arcs, ArcState.FORWARD))
 
     @property
     def oneway_count(self) -> int:

@@ -1,7 +1,8 @@
 """Exact solvers and desk-scale exhaustive oracles.
 
 * :func:`max_mono_clique` - largest clique that is monochromatic in one
-  color, over both colors (bicolored pairs belong to both).
+  color, over both colors (bicolored pairs belong to both), by a bitset
+  branch and bound on the vertex labels as given.
 * :func:`max_transitive_set` - largest vertex set whose induced one-way
   arcs are acyclic; equivalently n minus a minimum directed feedback
   vertex set of the one-way digraph.  Its strongly connected components
@@ -21,7 +22,8 @@ Both branch-and-bound searches take a private ``floor``: a maximum at or
 below it reads as the floor, so a search that only has to beat a known
 size, or decide whether one is reached, prunes from the start.  The clique
 search also takes a ``ceiling``, a known upper bound at which it stops.
-Witness extraction, one yes/no search per vertex, runs on both.
+Both pick their witness with one loop, :func:`_lex_min_subset`, which asks
+each vertex in turn a yes/no question of the search.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -106,65 +108,54 @@ class OracleTable:
 
 
 # ---------------------------------------------------------------------------
+# Lexicographic witness extraction, shared by both exact solvers
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
+
+
+def _lex_min_subset(vertices: int, target: int, extends: Callable[[int, int], bool]) -> int:
+    """Lexicographically smallest ``target``-subset of ``vertices`` with a
+    hereditary property that some such subset has: each v in ascending
+    order is kept iff ``extends(keep, higher)`` says the kept vertices plus
+    v, ``keep``, grow to one with vertices of ``higher``, those above v."""
+    kept = 0
+    for v in _bits(vertices):
+        if kept.bit_count() == target:
+            break
+        if extends(kept | 1 << v, vertices & ~((2 << v) - 1)):
+            kept |= 1 << v
+    return kept
+
+
+# ---------------------------------------------------------------------------
 # Maximum clique core (bitset branch and bound, greedy-coloring bound)
 
 
-def _degeneracy_order(n: int, adj: list[int]) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex, smallest id first."""
-    remaining = (1 << n) - 1
-    degs = [bin(adj[v] & remaining).count("1") for v in range(n)]
-    order = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if remaining >> v & 1 and (best < 0 or degs[v] < degs[best]):
-                best = v
-        order.append(best)
-        remaining &= ~(1 << best)
-        for u in range(n):
-            if remaining >> u & 1 and adj[best] >> u & 1:
-                degs[u] -= 1
-    return order
-
-
 class _CliqueSolver:
-    """Max-clique searches over one adjacency relation, with a node counter.
-
-    Vertices are relabeled internally by degeneracy order; all public masks
-    and results use the original labels.
-    """
+    """Max-clique searches over one adjacency relation, on its vertex labels
+    as given, with a node counter."""
 
     def __init__(self, n: int, adj: list[int]):
         self.n = n
         self.adj = adj
-        order = _degeneracy_order(n, adj)
-        self._to_int = [0] * n  # original -> internal
-        for internal, original in enumerate(order):
-            self._to_int[original] = internal
-        self._adj_int = [0] * n
-        for u in range(n):
-            self._adj_int[self._to_int[u]] = self._translate(adj[u])
         self.nodes = 0
-
-    def _translate(self, mask: int) -> int:
-        out = 0
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out |= 1 << self._to_int[v]
-        return out
 
     def max_size(
         self, candidates: int | None = None, floor: int = 0, ceiling: int | None = None
     ) -> int:
-        """Size of a maximum clique inside ``candidates`` (original labels).
+        """Size of a maximum clique inside ``candidates``.
 
         With a ``floor`` the search only decides whether some clique is
         larger: a maximum at or below ``floor`` reads as ``floor``.  A
         ``ceiling`` must be a known upper bound on the maximum; the search
         stops as soon as it finds a clique that large.
         """
-        cand = self._translate(candidates) if candidates is not None else (1 << self.n) - 1
+        cand = (1 << self.n) - 1 if candidates is None else candidates
         self._best = floor
         self._ceiling = self.n if ceiling is None else ceiling
         if cand:
@@ -173,7 +164,7 @@ class _CliqueSolver:
 
     def _expand(self, cand: int, size: int) -> None:
         self.nodes += 1
-        adj = self._adj_int
+        adj = self.adj
         # greedy coloring: vertices listed with nondecreasing class number;
         # a class no larger than _best - size is never branched on (_best
         # only grows), so its vertices are not listed
@@ -207,31 +198,6 @@ class _CliqueSolver:
                 return
             cand ^= 1 << v
 
-    def lex_min_maximum_clique(self, target: int) -> tuple[int, ...]:
-        """Lexicographically smallest vertex set among cliques of size
-        ``target``, the maximum.
-
-        Each vertex v in ascending order is kept iff the common
-        neighbourhood of the kept vertices and v, above v, holds a clique
-        of the ``need`` vertices still missing.  No clique there is larger,
-        so each step is a yes/no search with floor need - 1 and ceiling
-        need.
-        """
-        chosen: list[int] = []
-        common = (1 << self.n) - 1  # common neighborhood of chosen, original labels
-        for v in range(self.n):
-            if len(chosen) == target:
-                break
-            if not common >> v & 1:
-                continue
-            higher = ((1 << self.n) - 1) & ~((1 << (v + 1)) - 1)
-            cand = common & self.adj[v] & higher
-            need = target - 1 - len(chosen)
-            if need == 0 or self.max_size(cand, need - 1, need) == need:
-                chosen.append(v)
-                common &= self.adj[v]
-        return tuple(chosen)
-
 
 def _color_adjacency(graph: BicoloredGraph, color: EdgeColor) -> list[int]:
     """Bitmask adjacency of the simple graph whose edges include ``color``."""
@@ -244,12 +210,9 @@ def max_mono_clique(graph: BicoloredGraph, size_cap: int = CLIQUE_SIZE_CAP) -> S
     """Largest monochromatic clique over both colors.
 
     Ties break to larger size, then red over blue, then the
-    lexicographically smallest vertex set.
-
-    Only the red search is a full maximisation.  Blue runs against a floor
-    of red's size, since it has to beat red to win, and the witness
-    extraction decides each vertex against a floor and a ceiling derived
-    from the optimum.
+    lexicographically smallest vertex set.  Only the red search is a full
+    maximisation: blue runs against a floor of red's size, which it has to
+    beat to win.
     """
     if graph.n > size_cap:
         raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {size_cap}")
@@ -257,15 +220,24 @@ def max_mono_clique(graph: BicoloredGraph, size_cap: int = CLIQUE_SIZE_CAP) -> S
     blue = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.BLUE))
     red_size = red.max_size()
     blue_size = blue.max_size(floor=red_size)
-    if red_size >= blue_size:
-        vertices = red.lex_min_maximum_clique(red_size)
-        witness = MonoCliqueWitness(vertices, EdgeColor.RED)
-        size = red_size
-    else:
-        vertices = blue.lex_min_maximum_clique(blue_size)
-        witness = MonoCliqueWitness(vertices, EdgeColor.BLUE)
-        size = blue_size
-    return SolveResult(size, witness, red.nodes + blue.nodes)
+    solver, color = (red, EdgeColor.RED) if red_size >= blue_size else (blue, EdgeColor.BLUE)
+    size = max(red_size, blue_size)
+
+    def extends(keep: int, higher: int) -> bool:
+        # keep is a clique but for its top vertex v, just added; no clique is
+        # larger than size, so the search for the need vertices missing is a
+        # yes/no one with floor need - 1 and ceiling need
+        v = keep.bit_length() - 1
+        if keep & ~solver.adj[v] != 1 << v:
+            return False
+        common = higher
+        for u in _bits(keep):
+            common &= solver.adj[u]
+        need = size - keep.bit_count()
+        return need == 0 or solver.max_size(common, need - 1, need) == need
+
+    kept = _lex_min_subset((1 << graph.n) - 1, size, extends)
+    return SolveResult(size, MonoCliqueWitness(tuple(_bits(kept)), color), red.nodes + blue.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +457,6 @@ def _one_way_out_masks(digraph: SemicompleteDigraph) -> list[int]:
     )
 
 
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        bit = mask & -mask
-        yield bit.bit_length() - 1
-        mask ^= bit
-
-
 def _transpose(out: list[int], mask: int) -> list[int]:
     """In-masks of the arcs inside ``mask``."""
     into = [0] * len(out)
@@ -513,7 +478,7 @@ def _reach(out: list[int], seen: int, mask: int) -> int:
     return seen
 
 
-def _strongly_connected_components(n: int, out: list[int], mask: int) -> list[int]:
+def _strongly_connected_components(out: list[int], mask: int) -> list[int]:
     """Component masks of the sub-digraph on ``mask``, forward-backward: the
     lowest vertex left reaches, and is reached from, exactly its component."""
     into = _transpose(out, mask)
@@ -557,11 +522,9 @@ def max_transitive_set(
     pairs are unconstrained and ordered by vertex id).  Ties break to the
     lexicographically smallest vertex set.
 
-    Per strongly connected component, once its optimum is known, each
-    vertex v in ascending order is kept iff an optimal acyclic set holds
-    the vertices kept so far, v, and otherwise only vertices above v.  That
-    search runs against a floor of optimum - 1: it only has to decide
-    whether such a set exists.
+    Per strongly connected component, each witness decision is a search
+    against a floor of optimum - 1: it only asks whether an optimal acyclic
+    set holds the kept vertices and otherwise only higher ones.
 
     The size cap guards memory-style blowup, not runtime: the search is
     exact on an NP-hard problem.  On one core of a 2-vCPU x86 host, random
@@ -573,28 +536,20 @@ def max_transitive_set(
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {size_cap}")
     out = _one_way_out_masks(digraph)
     solver = _AcyclicSolver(digraph.n, out)
-    full = (1 << digraph.n) - 1
     chosen = 0
     # cycles never cross strongly connected components, so solve per SCC
-    for comp in sorted(_strongly_connected_components(digraph.n, out, full)):
+    for comp in sorted(_strongly_connected_components(out, (1 << digraph.n) - 1)):
         if comp & (comp - 1) == 0:
             chosen |= comp
             continue
         target = solver.max_acyclic(comp)
-        picked = 0
-        picked_count = 0
-        for v in _bits(comp):
-            if picked_count == target:
-                break
-            higher = comp & ~((1 << (v + 1)) - 1)
-            keep = picked | (1 << v)
-            if solver.max_acyclic(keep | higher, keep, floor=target - 1) >= target:
-                picked = keep
-                picked_count += 1
-        chosen |= picked
+        chosen |= _lex_min_subset(
+            comp,
+            target,
+            lambda keep, higher: solver.max_acyclic(keep | higher, keep, target - 1) >= target,
+        )
     vertices = tuple(_bits(chosen))
-    order = _topological_order(vertices, out)
-    witness = TransitiveWitness(vertices, order)
+    witness = TransitiveWitness(vertices, _topological_order(vertices, out))
     return SolveResult(len(vertices), witness, solver.nodes)
 
 
@@ -652,9 +607,7 @@ def max_mono_clique_by_enumeration(graph: BicoloredGraph) -> int:
             rest = mask & (mask - 1)
             if ok[rest] and rest & adj[low] == rest:
                 ok[mask] = 1
-                c = bin(mask).count("1")
-                if c > best:
-                    best = c
+                best = max(best, mask.bit_count())
     return best
 
 
@@ -678,8 +631,8 @@ def max_transitive_set_by_enumeration(digraph: SemicompleteDigraph) -> int:
     n = digraph.n
     best = 1
     for mask in range(1, 1 << n):
-        if bin(mask).count("1") > best and _subset_is_acyclic(mask, out):
-            best = bin(mask).count("1")
+        if mask.bit_count() > best and _subset_is_acyclic(mask, out):
+            best = mask.bit_count()
     return best
 
 
@@ -706,14 +659,21 @@ def oracle_budget_estimate(n: int, m: int) -> int:
 def _check_oracle_pre(n: int, m: int, budget: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0 <= m <= pair_count(n):
+    pairs = pair_count(n)
+    if not 0 <= m <= pairs:
         raise ValueError(f"m={m} outside 0..C({n},2)")
-    estimate = oracle_budget_estimate(n, m)
-    if pair_count(n) > _ORACLE_PAIR_CAP or estimate > budget:
+    # the cap comes first: a large cell's instance count is a huge integer,
+    # slow to compute and too long to print; 2^min(m, 64) bounds it below
+    if pairs > _ORACLE_PAIR_CAP:
         raise BudgetExceeded(
-            f"cell (n={n}, m={m}) needs {estimate} enumerated instances over "
-            f"C({n},2)={pair_count(n)} pair slots; cap is C(n,2) <= {_ORACLE_PAIR_CAP} "
-            f"and budget {budget}",
+            f"cell (n={n}, m={m}) has C({n},2)={pairs} pair slots; "
+            f"cap is C(n,2) <= {_ORACLE_PAIR_CAP}",
+            estimate=1 << min(m, 64),
+        )
+    estimate = oracle_budget_estimate(n, m)
+    if estimate > budget:
+        raise BudgetExceeded(
+            f"cell (n={n}, m={m}) needs {estimate} enumerated instances; budget is {budget}",
             estimate=estimate,
         )
 

@@ -2,9 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from biramsey.model import ArcState, BicoloredGraph, EdgeColor, SemicompleteDigraph, pair_count
 from biramsey.solvers import brute_force_F, brute_force_f
+
+# CI runs the tests with --hypothesis-profile=ci: the examples are derived
+# from each test alone, so a failure there replays locally with the same flag
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 
 @pytest.fixture(scope="session")

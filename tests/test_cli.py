@@ -91,6 +91,17 @@ def test_oracle_budget_env(tmp_path, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("n, m", [(20000, 99990000), (2000, 999500)])
+def test_oracle_refuses_a_cell_over_the_pair_cap_at_once(tmp_path, n, m):
+    # the instance count of these cells is never computed: the first took
+    # over a minute, the second is too long to print as a decimal integer
+    code, out, err = run_cli(["oracle", "--n", str(n), "--m", str(m), "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    pairs = n * (n - 1) // 2
+    assert err == f"error: cell (n={n}, m={m}) has C({n},2)={pairs} pair slots; cap is C(n,2) <= 15\n"
+
+
 def test_lowerbound_reports_stats(tmp_path):
     run_cli(["construct", "triangles", "--n", "9", "--m", "9", "--out", str(tmp_path)])
     code, out, _ = run_cli(

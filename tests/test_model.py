@@ -62,6 +62,10 @@ def test_from_map_rejects_a_pair_listed_twice():
         BicoloredGraph.from_map(3, {(0, 1): EdgeColor.RED, (1, 0): EdgeColor.BLUE})
     with pytest.raises(ValueError, match=r"pair \(0, 1\) listed twice"):
         SemicompleteDigraph.from_map(3, {(0, 1): ArcState.FORWARD, (1, 0): ArcState.FORWARD})
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) listed twice"):
+        SemicompleteDigraph.from_arcs(3, {(0, 1), (1, 0)})
+    with pytest.raises(ValueError, match=r"bad pair \(1, 1\)"):
+        SemicompleteDigraph.from_arcs(3, {(1, 1)})
     d = SemicompleteDigraph.from_map(3, {(1, 0): ArcState.FORWARD, (1, 2): ArcState.BACKWARD})
     assert d.state(0, 1) is ArcState.BACKWARD and d.state(1, 2) is ArcState.BACKWARD
 

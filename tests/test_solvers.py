@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biramsey.constructions import lex_clique_packing, triangle_digraph
 from biramsey.model import (
@@ -14,6 +16,7 @@ from biramsey.model import (
     MonoCliqueWitness,
     SemicompleteDigraph,
     TransitiveWitness,
+    digraph_to_coloring,
     pair_count,
     random_coloring,
     random_semicomplete,
@@ -22,6 +25,9 @@ from biramsey.solvers import (
     BudgetExceeded,
     KindMismatch,
     SizeLimitExceeded,
+    _check_oracle_pre,
+    _mono_clique_sizes,
+    _transitive_sizes,
     brute_force_F,
     brute_force_f,
     max_mono_clique,
@@ -252,9 +258,64 @@ def test_transitive_witness_vertex_set_is_lex_min_among_optima(sparse_semicomple
             res = max_transitive_set(d)
             assert res.witness.vertices == _lex_min_acyclic_optimum(d)
             assert verify_witness(d, res.witness)
-            comps = _strongly_connected_components(n, _one_way_out_masks(d), (1 << n) - 1)
+            comps = _strongly_connected_components(_one_way_out_masks(d), (1 << n) - 1)
             multi_component += sum(bin(c).count("1") > 1 for c in comps) > 1
     assert multi_component >= 5  # every _strong_blocks instance at least
+
+
+# --- differential checks on small random instances ---------------------------
+
+
+@st.composite
+def _small_instances(draw, kind):
+    """Instances of ``kind`` with n <= 8 and any pair codes."""
+    n = draw(st.integers(1, 8))
+    codes = draw(st.lists(st.integers(0, 2), min_size=pair_count(n), max_size=pair_count(n)))
+    return kind(n, bytes(codes))
+
+
+def _block_score(instance, scorer, first_codes, second_codes):
+    """The oracle's block scorer on the one instance, held as the two pair
+    bitmasks of the codes in ``first_codes`` and ``second_codes``."""
+    codes = list(instance.codes)
+    dtype = np.min_scalar_type((1 << len(codes)) - 1)
+    first, second = (
+        np.array([sum(1 << p for p, c in enumerate(codes) if c in chosen)], dtype=dtype)
+        for chosen in (first_codes, second_codes)
+    )
+    return int(scorer(instance.n, first, second, instance.n)[0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_instances(BicoloredGraph))
+def test_clique_solver_matches_enumeration_block_scorer_and_lex_min(g):
+    both = EdgeColor.RED_BLUE.code
+    res = max_mono_clique(g)
+    assert res.size == max_mono_clique_by_enumeration(g)
+    assert res.size == _block_score(
+        g, _mono_clique_sizes, (EdgeColor.RED.code, both), (EdgeColor.BLUE.code, both)
+    )
+    assert (res.witness.color, res.witness.vertices) == _lex_min_mono_clique(g, res.size)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_instances(SemicompleteDigraph))
+def test_transitive_solver_matches_enumeration_block_scorer_and_lex_min(d):
+    res = max_transitive_set(d)
+    assert res.size == max_transitive_set_by_enumeration(d)
+    assert res.size == _block_score(
+        d, _transitive_sizes, (ArcState.FORWARD.code,), (ArcState.BACKWARD.code,)
+    )
+    assert res.witness.vertices == _lex_min_acyclic_optimum(d)
+    assert verify_witness(d, res.witness)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_instances(SemicompleteDigraph))
+def test_clique_of_the_mapped_coloring_is_at_most_the_transitive_set(d):
+    # a monochromatic clique of digraph_to_coloring(d) is a transitive set of
+    # d, so f <= F instance by instance
+    assert max_mono_clique(digraph_to_coloring(d)).size <= max_transitive_set(d).size
 
 
 def test_size_caps():
@@ -346,6 +407,15 @@ def test_oracle_budget_errors():
     assert info.value.estimate == oracle_budget_estimate(6, 8)
 
 
+def test_oracle_pair_cap_comes_before_the_instance_count():
+    # comb(C(150,2), 5587) * 2^5587 has thousands of digits: neither computed
+    # nor printed, and the cell is refused as over budget, not a ValueError
+    message = r"C\(150,2\)=11175 pair slots; cap is C\(n,2\) <= 15$"
+    with pytest.raises(BudgetExceeded, match=message) as info:
+        _check_oracle_pre(150, 5587, 10**8)
+    assert 1 <= info.value.estimate <= 2**64
+
+
 def test_oracle_is_deterministic():
     a = brute_force_F(4, 4)
     b = brute_force_F(4, 4)
@@ -373,10 +443,11 @@ def test_node_counts_stay_modest_on_structured_instances(
     assert r.nodes_explored < 3_000
     # 9727 and 2994 nodes when blue and every clique extraction step were
     # full maximisations from 0; with the floors and ceilings, 3943 and 1059
+    # on degeneracy-relabeled vertices, and 900 and 813 on the given labels
     r = max_mono_clique(sparse_colorings_64[256])
-    assert r.nodes_explored < 5_000
+    assert r.nodes_explored < 1_100
     r = max_mono_clique(sparse_colorings_64[1024])
-    assert r.nodes_explored < 1_300
+    assert r.nodes_explored < 1_000
 
 
 # --- cycle search --------------------------------------------------------------
@@ -564,7 +635,7 @@ def test_strongly_connected_components_match_mutual_reachability():
         n = len(out)
         for mask in [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(6)]:
             reach = _closure(out, mask)
-            comps = _strongly_connected_components(n, out, mask)
+            comps = _strongly_connected_components(out, mask)
             union = 0
             for comp in comps:
                 assert comp and not comp & union  # nonempty and disjoint
