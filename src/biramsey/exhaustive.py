@@ -55,10 +55,12 @@ def tournament_to_code(digraph: SemicompleteDigraph) -> int:
 def _check_scan_order(order: int, cap: int = SCAN_ORDER_CAP) -> None:
     if order < 1:
         raise ValueError("order must be at least 1")
+    # 2^C(order, 2) itself is a huge integer at a large order, slow to
+    # build; 2^min(C(order, 2), 64) bounds it below, as in the oracle
     if order > cap:
         raise BudgetExceeded(
             f"full scan at order {order} needs 2^{pair_count(order)} codes",
-            estimate=1 << pair_count(order),
+            estimate=1 << min(pair_count(order), 64),
         )
 
 

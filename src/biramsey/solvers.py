@@ -248,11 +248,13 @@ def max_mono_clique(graph: BicoloredGraph, size_cap: int = CLIQUE_SIZE_CAP) -> S
 class _AcyclicSolver:
     """Maximum induced acyclic subset of a digraph given as out-masks.
 
-    Branch and bound: find a shortest directed cycle of the current vertex
-    set and branch on deleting each of its vertices.  ``forced`` vertices
-    may not be deleted (used for lexicographic witness extraction).
-    Pruning uses a greedy incumbent plus a vertex-disjoint cycle packing
-    (each packed cycle forces one deletion).  The in-masks and the greedy
+    Branch and bound over (allowed, forced) pairs: ``forced`` vertices may
+    not be deleted.  Pruning uses a greedy incumbent plus a vertex-disjoint
+    cycle packing (each packed cycle forces one deletion).  A node branches
+    on the packed cycle with the fewest free (unforced) vertices, and its
+    children are disjoint: the i-th deletes the i-th free vertex and forces
+    the ones before it, so no acyclic set is searched twice, and a cycle
+    with one free vertex is a forced deletion.  The in-masks and the greedy
     incumbent's admission test come from the mask helpers
     :func:`_transpose` and :func:`_reach`, which also give the strongly
     connected components and topological orders around the search.
@@ -441,11 +443,17 @@ class _AcyclicSolver:
         if size - len(packing) <= self._best:
             self._memo[key] = max(self._memo.get(key, -1), size - len(packing))
             return
-        branchable = [v for v in packing[0] if not forced >> v & 1]
+        # the packed cycle with the fewest free (unforced) vertices
+        branchable = min(
+            ([v for v in cycle if not forced >> v & 1] for cycle in packing), key=len
+        )
         if not branchable:
             return  # a cycle lies entirely inside the forced set
+        # disjoint children: each S misses some free vertex of the cycle, and
+        # the first one it misses is the one child that holds S
         for v in sorted(branchable):
             self._search(allowed & ~(1 << v), forced)
+            forced |= 1 << v
         self._memo[key] = self._best
 
 
@@ -527,10 +535,10 @@ def max_transitive_set(
     set holds the kept vertices and otherwise only higher ones.
 
     The size cap guards memory-style blowup, not runtime: the search is
-    exact on an NP-hard problem.  On one core of a 2-vCPU x86 host, random
-    tournaments take about 0.45 s at n = 28 and 3.7 s at n = 32, uniform
-    random semicomplete digraphs about 2.4 s at n = 32, 11 s at n = 36 and
-    110 s at the cap, n = 40.
+    exact on an NP-hard problem.  On one core of a 2-vCPU x86 host (seeds
+    1-3), random tournaments take about 0.08 s at n = 28 and 0.2 s at
+    n = 32, uniform random semicomplete digraphs 0.24-0.37 s at n = 32,
+    0.7-1.1 s at n = 36 and 1.9-2.7 s at the cap, n = 40.
     """
     if digraph.n > size_cap:
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {size_cap}")

@@ -147,3 +147,14 @@ def test_scan_order_cap():
         min_max_transitive_over_tournaments(8)
     with pytest.raises(BudgetExceeded):
         every_tournament_contains_tt(9, 5)
+
+
+def test_scan_order_cap_comes_before_the_code_count():
+    # 2^C(200000, 2) is a 2.5 GB integer: neither scan builds it to refuse
+    for scan, args in (
+        (every_tournament_contains_tt, (200_000, 5)),
+        (min_max_transitive_over_tournaments, (200_000,)),
+    ):
+        with pytest.raises(BudgetExceeded, match=r"needs 2\^19999900000 codes$") as info:
+            scan(*args)
+        assert 1 <= info.value.estimate <= 2**64

@@ -431,16 +431,19 @@ def test_node_counts_stay_modest_on_structured_instances(
     from biramsey.constructions import lex_clique_packing, tournament_packing
     from biramsey.model import random_tournament
 
+    # digraphs: 112, 3973 and 2549 nodes when every vertex of the first
+    # packed cycle was branched on with the same forced set; 60, 427 and
+    # 1053 with disjoint branching on the cycle with the fewest free vertices
     r = max_transitive_set(tournament_packing(14, 3).instance)
-    assert r.nodes_explored < 20_000
+    assert r.nodes_explored < 100
     r = max_mono_clique(lex_clique_packing(16, 3).instance)
     assert r.nodes_explored < 10_000
     r = max_transitive_set(random_tournament(20, 99))
-    assert r.nodes_explored < 2_000_000
+    assert r.nodes_explored < 1_500
     # 3485 nodes when witness extraction searched each vertex for a true
     # maximum; deciding against a floor of target - 1 takes 2549
     r = max_transitive_set(sparse_semicomplete_28)
-    assert r.nodes_explored < 3_000
+    assert r.nodes_explored < 1_500
     # 9727 and 2994 nodes when blue and every clique extraction step were
     # full maximisations from 0; with the floors and ceilings, 3943 and 1059
     # on degeneracy-relabeled vertices, and 900 and 813 on the given labels
@@ -448,6 +451,107 @@ def test_node_counts_stay_modest_on_structured_instances(
     assert r.nodes_explored < 1_100
     r = max_mono_clique(sparse_colorings_64[1024])
     assert r.nodes_explored < 1_000
+
+
+def test_random_semicomplete_32_witness_is_pinned():
+    # 231,754 nodes and about 2.4 s when every cycle vertex was branched on
+    # with the same forced set; the witness has not moved since
+    r = max_transitive_set(random_semicomplete(32, 1))
+    assert r.size == 13
+    assert r.witness.vertices == (0, 1, 3, 4, 7, 8, 10, 11, 14, 17, 18, 21, 29)
+    assert r.witness.order == (1, 7, 4, 3, 8, 21, 18, 17, 0, 29, 10, 11, 14)
+    assert r.nodes_explored < 40_000
+
+
+# --- acyclic branch and bound --------------------------------------------------
+
+
+def test_acyclic_branching_is_disjoint_and_takes_the_freest_cycle():
+    # two disjoint triangles, 3 and 4 forced: the root's one child deletes 5,
+    # the only free vertex of the second triangle; that child branches on the
+    # first triangle, each sibling forcing the vertices deleted before it
+    from biramsey.solvers import _AcyclicSolver, _one_way_out_masks
+
+    d = SemicompleteDigraph.from_arcs(6, {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)})
+    solver = _AcyclicSolver(6, _one_way_out_masks(d))
+    calls = []
+    search = solver._search
+
+    def recording(allowed, forced):
+        calls.append((allowed, forced))
+        search(allowed, forced)
+
+    solver._search = recording
+    solver._best = 0
+    solver._search(0b111111, 0b011000)
+    assert calls == [
+        (0b111111, 0b011000),
+        (0b011111, 0b011000),
+        (0b011110, 0b011000),
+        (0b011101, 0b011001),
+        (0b011011, 0b011011),
+    ]
+    assert solver._best == 4
+
+
+def _max_acyclic_by_enumeration(out, allowed, forced):
+    """Largest acyclic S with forced <= S <= allowed over every such S, -1
+    if there is none."""
+    free = allowed & ~forced
+    best = -1
+    sub = free
+    while True:
+        chosen = forced | sub
+        if chosen.bit_count() > best and _source_peel_is_acyclic(chosen, out):
+            best = chosen.bit_count()
+        if not sub:
+            return best
+        sub = (sub - 1) & free
+
+
+@st.composite
+def _acyclic_queries(draw):
+    """A digraph with n <= 9, a tournament or with any pair codes, and a few
+    (allowed, forced, add a cycle, floor choice) queries."""
+    n = draw(st.integers(1, 9))
+    pairs = pair_count(n)
+    code = st.integers(0, 1) if draw(st.booleans()) else st.integers(0, 2)
+    codes = draw(st.lists(code, min_size=pairs, max_size=pairs))
+    full = (1 << n) - 1
+    query = st.tuples(
+        st.one_of(st.just(full), st.integers(0, full)),
+        st.integers(0, full),
+        st.booleans(),
+        st.sampled_from((-1, 0, 1)),
+    )
+    return SemicompleteDigraph(n, bytes(codes)), draw(st.lists(query, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_acyclic_queries())
+def test_max_acyclic_matches_subset_enumeration(case):
+    # floor choice -1 is no floor, 0 the optimum minus one, 1 the optimum.
+    # One solver answers every query, so its memo carries over as between
+    # witness extraction steps.  The bare search, started from the floor
+    # without the greedy incumbent, has to find the optimum on its own.
+    from biramsey.solvers import _AcyclicSolver, _one_way_out_masks
+
+    d, queries = case
+    out = _one_way_out_masks(d)
+    solver = _AcyclicSolver(d.n, out)
+    for allowed, forced, add_cycle, floor_choice in queries:
+        forced &= allowed
+        cycle = _reference_shortest_cycle(out, allowed) if add_cycle else None
+        if cycle is not None:
+            forced |= sum(1 << v for v in cycle)
+        opt = _max_acyclic_by_enumeration(out, allowed, forced)
+        if cycle is not None:
+            assert opt == -1  # the forced set holds a cycle
+        floor = -1 if floor_choice < 0 or opt < 0 else opt - 1 + floor_choice
+        assert solver.max_acyclic(allowed, forced, floor) == max(opt, floor)
+        solver._best = floor
+        solver._search(allowed, forced)
+        assert solver._best == max(opt, floor)
 
 
 # --- cycle search --------------------------------------------------------------
