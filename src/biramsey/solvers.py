@@ -249,15 +249,16 @@ class _AcyclicSolver:
     """Maximum induced acyclic subset of a digraph given as out-masks.
 
     Branch and bound over (allowed, forced) pairs: ``forced`` vertices may
-    not be deleted.  Pruning uses a greedy incumbent plus a vertex-disjoint
-    cycle packing (each packed cycle forces one deletion).  A node branches
-    on the packed cycle with the fewest free (unforced) vertices, and its
-    children are disjoint: the i-th deletes the i-th free vertex and forces
-    the ones before it, so no acyclic set is searched twice, and a cycle
-    with one free vertex is a forced deletion.  The in-masks and the greedy
-    incumbent's admission test come from the mask helpers
-    :func:`_transpose` and :func:`_reach`, which also give the strongly
-    connected components and topological orders around the search.
+    not be deleted.  The search starts from its floor and prunes by a
+    vertex-disjoint cycle packing (each packed cycle forces one deletion).
+    A node branches on the packed cycle with the fewest free (unforced)
+    vertices, and its children are disjoint: the i-th deletes the i-th free
+    vertex and forces the ones before it, so no acyclic set is searched
+    twice, and a cycle with one free vertex is a forced deletion.  A cycle
+    with no free vertex ends the branch, so a cyclic ``forced`` set finds
+    nothing.  The in-masks come from :func:`_transpose`, the mask helper
+    that also serves the strongly connected components (with
+    :func:`_reach`) and the topological order around the search.
     """
 
     def __init__(self, n: int, out: list[int]):
@@ -343,42 +344,15 @@ class _AcyclicSolver:
                 frontier = nxt
         return best
 
-    def _shortest_cycle(self, mask: int) -> tuple[int, ...] | None:
-        """Shortest directed cycle within ``mask``; deterministic choice."""
-        packing = self._cycle_packing(mask, 1)
-        return packing[0] if packing else None
-
-    def _greedy_incumbent(self, allowed: int, forced: int) -> int:
-        """A feasible acyclic superset of ``forced`` built greedily, or -1.
-
-        Vertices of ``allowed`` join in ascending order whenever the set
-        stays acyclic.  The set is acyclic before v is tried, so any new
-        cycle runs through v: v joins iff nothing it reaches inside the set
-        has an arc back to v.
-        """
-        out, into = self.out, self.into
-        if not _subset_is_acyclic(forced, out):
-            return -1
-        chosen = forced
-        for v in _bits(allowed & ~forced):
-            back = into[v] & chosen
-            if not back or not _reach(out, out[v] & chosen, chosen) & back:
-                chosen |= 1 << v
-        return chosen
-
     def max_acyclic(self, allowed: int, forced: int = 0, floor: int = -1) -> int:
         """Max size of an acyclic S with forced <= S <= allowed; -1 if none.
 
         With a ``floor`` the search only decides whether some S is larger:
-        a maximum at or below ``floor`` reads as ``floor``.  The memo keeps
-        upper bounds on each subtree's maximum, which a floor only loosens.
+        a maximum at or below ``floor`` reads as ``floor``, and so does a
+        ``forced`` set that holds a cycle.  The memo keeps upper bounds on
+        each subtree's maximum, which a floor only loosens.
         """
-        incumbent = self._greedy_incumbent(allowed, forced)
-        if incumbent < 0:
-            return -1  # the forced set itself contains a cycle
-        if self._shortest_cycle(incumbent) is not None:
-            raise AssertionError("acyclicity check disagrees with cycle search")
-        self._best = max(incumbent.bit_count(), floor)
+        self._best = floor
         self._search(allowed, forced)
         return self._best
 
@@ -536,9 +510,9 @@ def max_transitive_set(
 
     The size cap guards memory-style blowup, not runtime: the search is
     exact on an NP-hard problem.  On one core of a 2-vCPU x86 host (seeds
-    1-3), random tournaments take about 0.08 s at n = 28 and 0.2 s at
-    n = 32, uniform random semicomplete digraphs 0.24-0.37 s at n = 32,
-    0.7-1.1 s at n = 36 and 1.9-2.7 s at the cap, n = 40.
+    1-3), random tournaments take about 0.06 s at n = 28 and 0.2 s at
+    n = 32, uniform random semicomplete digraphs 0.15-0.3 s at n = 32,
+    0.6-1.0 s at n = 36 and 1.7-2.3 s at the cap, n = 40.
     """
     if digraph.n > size_cap:
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {size_cap}")

@@ -227,6 +227,51 @@ def test_atlas_skips_cells_beyond_the_pair_cap():
     assert "7,1,,,skipped-budget" in rows
 
 
+def test_atlas_reports_every_violated_check(monkeypatch):
+    # a wrong oracle: 0 on the diagonal m = n (under both lower formulas),
+    # elsewhere far above the exact values, increasing in m and f above F
+    from biramsey import cli
+
+    def wrong_cell(n, m, family, budget):
+        return (0 if m == n else (100 if family == "coloring" else 50) + m), ""
+
+    monkeypatch.setattr(cli, "_oracle_cell", wrong_cell)
+    code, out, err = run_cli(["atlas", "--n-max", "3"])
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert "3,1,101,51,f-exact;F-exact;sandwich;f-monotone;F-monotone;F-upper-moment" in rows
+    assert "3,3,0,0,f-exact;F-exact;f-lower;F-lower" in rows
+    labels = [label for row in rows for label in row.split(",")[-1].split(";") if label]
+    assert set(labels) == {
+        "f-exact", "F-exact", "f-lower", "F-lower", "sandwich",
+        "f-monotone", "F-monotone", "F-upper-moment",
+    }
+    assert err == f"# violations={len(labels)}\n"
+
+
+def test_construct_refuses_a_huge_n_before_building(tmp_path):
+    # C(n, 2) above 2^24 exits 2 before any builder allocates per pair
+    import tracemalloc
+
+    out_dir = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        for argv in (
+            ["matching", "--n", "10000000", "--m", "0"],
+            ["triangles", "--n", "10000000", "--m", "3"],
+            ["blowup", "--n", "5794", "--t", "1"],
+        ):
+            code, out, err = run_cli(["construct", *argv, "--out", str(out_dir)])
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and "cap is C(n,2) <= 16777216" in err, argv
+            assert "Traceback" not in err
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not out_dir.exists()
+
+
 def test_argument_errors_exit_2(tmp_path):
     code, _, _ = run_cli(["oracle", "--n", "5"])  # missing --m
     assert code == 2

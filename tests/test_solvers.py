@@ -433,7 +433,9 @@ def test_node_counts_stay_modest_on_structured_instances(
 
     # digraphs: 112, 3973 and 2549 nodes when every vertex of the first
     # packed cycle was branched on with the same forced set; 60, 427 and
-    # 1053 with disjoint branching on the cycle with the fewest free vertices
+    # 1053 with disjoint branching on the cycle with the fewest free
+    # vertices; 92, 1024 and 1191 since the search starts from its floor
+    # instead of a greedy incumbent
     r = max_transitive_set(tournament_packing(14, 3).instance)
     assert r.nodes_explored < 100
     r = max_mono_clique(lex_clique_packing(16, 3).instance)
@@ -455,7 +457,8 @@ def test_node_counts_stay_modest_on_structured_instances(
 
 def test_random_semicomplete_32_witness_is_pinned():
     # 231,754 nodes and about 2.4 s when every cycle vertex was branched on
-    # with the same forced set; the witness has not moved since
+    # with the same forced set, 14,316 with disjoint branching from a greedy
+    # incumbent, 14,935 from the floor; the witness has not moved since
     r = max_transitive_set(random_semicomplete(32, 1))
     assert r.size == 13
     assert r.witness.vertices == (0, 1, 3, 4, 7, 8, 10, 11, 14, 17, 18, 21, 29)
@@ -532,8 +535,8 @@ def _acyclic_queries(draw):
 def test_max_acyclic_matches_subset_enumeration(case):
     # floor choice -1 is no floor, 0 the optimum minus one, 1 the optimum.
     # One solver answers every query, so its memo carries over as between
-    # witness extraction steps.  The bare search, started from the floor
-    # without the greedy incumbent, has to find the optimum on its own.
+    # witness extraction steps.  The search starts from the floor, so it has
+    # to find the optimum on its own; a forced cycle reads as the floor, -1.
     from biramsey.solvers import _AcyclicSolver, _one_way_out_masks
 
     d, queries = case
@@ -549,9 +552,6 @@ def test_max_acyclic_matches_subset_enumeration(case):
             assert opt == -1  # the forced set holds a cycle
         floor = -1 if floor_choice < 0 or opt < 0 else opt - 1 + floor_choice
         assert solver.max_acyclic(allowed, forced, floor) == max(opt, floor)
-        solver._best = floor
-        solver._search(allowed, forced)
-        assert solver._best == max(opt, floor)
 
 
 # --- cycle search --------------------------------------------------------------
@@ -661,55 +661,10 @@ def test_cycle_search_matches_dictionary_bfs():
         masks = [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(12)]
         for mask in masks:
             expected = _reference_shortest_cycle(out, mask)
-            assert solver._shortest_cycle(mask) == expected
+            assert solver._cycle_packing(mask, 1) == ([] if expected is None else [expected])
             assert solver._cycle_packing(mask, n) == _reference_packing(out, mask)
             longer += expected is not None and len(expected) > 3
     assert longer >= 100  # the triangle-free fallback ran
-
-
-# --- greedy incumbent ----------------------------------------------------------
-
-
-def _peeled_incumbent(out, allowed, forced):
-    """The greedy incumbent with a full acyclicity peel of each candidate
-    set."""
-    from biramsey.solvers import _subset_is_acyclic
-
-    if not _subset_is_acyclic(forced, out):
-        return -1
-    chosen = forced
-    rest = allowed & ~forced
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        if _subset_is_acyclic(chosen | bit, out):
-            chosen |= bit
-    return chosen
-
-
-def test_greedy_incumbent_matches_peel():
-    from biramsey.solvers import _AcyclicSolver, _subset_is_acyclic
-
-    rng = np.random.default_rng(4242)
-    kinds = {"empty": 0, "acyclic": 0, "cyclic": 0}
-    for out in _one_way_digraphs(rng):
-        n = len(out)
-        solver = _AcyclicSolver(n, out)
-        cycle = solver._shortest_cycle((1 << n) - 1)
-        for _ in range(6):
-            allowed = int(rng.integers(0, 1 << n))
-            sample = allowed & int(rng.integers(0, 1 << n)) & int(rng.integers(0, 1 << n))
-            forced_sets = [0, sample]
-            if cycle is not None:
-                forced_sets.append(sample | sum(1 << v for v in cycle))
-            for forced in forced_sets:
-                if not forced:
-                    kinds["empty"] += 1
-                else:
-                    kinds["acyclic" if _subset_is_acyclic(forced, out) else "cyclic"] += 1
-                expected = _peeled_incumbent(out, allowed | forced, forced)
-                assert solver._greedy_incumbent(allowed | forced, forced) == expected
-    assert min(kinds.values()) >= 200
 
 
 # --- mask reachability helpers -------------------------------------------------
@@ -775,6 +730,18 @@ def _heap_kahn(vertices, out):
     return tuple(order)
 
 
+def _peeled_incumbent(out, allowed):
+    """A greedy acyclic subset of ``allowed``: vertices join in ascending
+    order whenever a full acyclicity peel of the grown set passes."""
+    from biramsey.solvers import _subset_is_acyclic
+
+    chosen = 0
+    for v in _mask_bits(allowed):
+        if _subset_is_acyclic(chosen | 1 << v, out):
+            chosen |= 1 << v
+    return chosen
+
+
 def test_topological_order_matches_heap_kahn():
     from biramsey.solvers import _AcyclicSolver, _topological_order
 
@@ -785,11 +752,10 @@ def test_topological_order_matches_heap_kahn():
         solver = _AcyclicSolver(n, out)
         for _ in range(4):
             allowed = int(rng.integers(0, 1 << n))
-            vertices = _mask_bits(solver._greedy_incumbent(allowed, 0))
+            vertices = _mask_bits(_peeled_incumbent(out, allowed))
             shuffled = tuple(rng.permutation(vertices).tolist())
             assert _topological_order(shuffled, out) == _heap_kahn(shuffled, out)
-            cycle = solver._shortest_cycle(allowed)
-            if cycle is not None:
+            if solver._cycle_packing(allowed, 1):
                 cyclic += 1
                 for order in (_topological_order, _heap_kahn):
                     with pytest.raises(ValueError):
