@@ -48,7 +48,7 @@ from .model import (
     pair_index,
     random_tournament,
 )
-from .solvers import max_mono_clique, max_transitive_set
+from .solvers import TRANSITIVE_SIZE_CAP, SizeLimitExceeded, max_mono_clique, max_transitive_set
 
 __all__ = [
     "ConstructionCert",
@@ -272,6 +272,10 @@ def blowup(
         raise InfeasibleParams(f"need 1 <= t <= n, got t={t}, n={n}")
     big = n % t
     sizes = [n // t + 1] * big + [n // t] * (t - big)
+    if sizes[0] > TRANSITIVE_SIZE_CAP:  # refused before any class is drawn
+        raise SizeLimitExceeded(
+            f"class size {sizes[0]} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}"
+        )
     if inner is None:
         inner = [random_tournament(s, np.random.default_rng([seed, i])) for i, s in enumerate(sizes)]
     if [d.n for d in inner] != sizes:

@@ -21,11 +21,13 @@ arcs always has a topological order).
 Randomness: trial i draws its permutation from split(seed, i), a spawned
 numpy SeedSequence, so parallel trials reproduce serial results exactly.
 Best-of-trials scores its trials in numpy blocks on those same permutations,
-so its sets and means equal the one-trial-at-a-time rule.  It derives the
-PCG64 states of split(seed, i) in bulk (SeedSequence's uint32 hash run over
-arrays of i) and sets them on one reused Generator; each call checks trial
-0's state against ``default_rng(split_seed(seed, 0))``.  Trial indices are
-one 32-bit word, so best-of-trials takes fewer than 2^32 trials.
+so its sets and means equal the one-trial-at-a-time rule; prefix bitsets
+over the permutation positions count earlier neighbours in n * ceil(n / 64)
+uint64 words per trial at any density.  It derives the PCG64 states of
+split(seed, i) in bulk (SeedSequence's uint32 hash run over arrays of i) and
+sets them on one reused Generator; each call checks trial 0's state against
+``default_rng(split_seed(seed, 0))``.  Trial indices are one 32-bit word, so
+best-of-trials takes fewer than 2^32 trials.
 All expectations are exact rationals; guarantee comparisons are decidable.
 """
 
@@ -286,10 +288,7 @@ def permutation_average_size(graph: Sequence[int], max_earlier: int) -> Fraction
 
 
 def _vertex_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+    return sum(1 << v for v in set(vertices))
 
 
 def is_independent_set(graph: Sequence[int], vertices: Iterable[int]) -> bool:
@@ -302,10 +301,7 @@ def induces_forest(graph: Sequence[int], vertices: Iterable[int]) -> bool:
     left; a cycle's vertices never peel."""
     rest = _vertex_mask(vertices)
     while rest:
-        leaves = 0
-        for v in _bits(rest):
-            if (graph[v] & rest).bit_count() <= 1:
-                leaves |= 1 << v
+        leaves = _vertex_mask(v for v in _bits(rest) if (graph[v] & rest).bit_count() <= 1)
         if not leaves:
             return False
         rest ^= leaves
@@ -345,13 +341,12 @@ def random_simple_graph(n: int, edge_probability: float, seed: int) -> list[int]
 # Best-of-trials lower-bound procedures
 
 
-def _edges(graph: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (u < v) of a graph's edges."""
-    n = len(graph)
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in graph), np.uint8)
-    bits = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
-    return np.nonzero(np.triu(bits, 1))
+def _planes(masks: Sequence[int]) -> np.ndarray:
+    """n bitmasks below 2^n as a (ceil(n / 64), n) uint64 array; column v
+    holds masks[v] in little-endian 64-bit words."""
+    words = -(-len(masks) // 64)
+    data = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(data, "<u8").reshape(len(masks), words).T
 
 
 def _kept_blocks(
@@ -361,28 +356,29 @@ def _kept_blocks(
 
     Yields bool arrays of shape (trials in block, n); row r of the block
     starting at trial lo is :func:`_select_by_earlier_neighbors` on the
-    permutation drawn from split(seed, lo + r).  A block holds at most
-    ``_ORACLE_BLOCK`` trial x edge (or trial x vertex) entries.  Row r of
-    the rank matrix holds trial r's position of every vertex; each edge is
-    charged to its later endpoint, u + [rank u < rank v] (v - u), and one
-    bincount over the row-offset endpoints counts every vertex's earlier
-    neighbors.
+    permutation drawn from split(seed, lo + r).  The graph is held as
+    words = ceil(n / 64) uint64 planes, and a block as at most
+    ``_ORACLE_BLOCK`` trial x vertex x word entries.  OR-accumulating the
+    one-bit sets of a trial's order gives each position k the set of
+    vertices placed at or before k; the vertex at k is not its own
+    neighbour, so that set ANDed with its neighbourhood has a popcount of
+    its earlier neighbours.  A trial costs n x words words at any density.
     """
     n = len(graph)
-    us, vs = _edges(graph)
-    per_block = max(1, _ORACLE_BLOCK // max(1, n, len(us)))
-    positions = np.arange(n, dtype=np.int32)
+    adjacency = _planes(graph)
+    singletons = _planes([1 << v for v in range(n)])
+    per_block = max(1, _ORACLE_BLOCK // max(1, adjacency.size))
     streams = _trial_generators(seed, trials)
     for lo in range(0, trials, per_block):
-        block = range(lo, min(lo + per_block, trials))
-        rank = np.empty((len(block), n), dtype=np.int32)
-        for row, rng in zip(rank, streams):
-            row[rng.permutation(n)] = positions
-        later = (rank.take(us, axis=1) < rank.take(vs, axis=1)) * (vs - us)
-        later += us
-        later += (np.arange(len(block)) * n)[:, None]
-        earlier = np.bincount(later.ravel(), minlength=len(block) * n)
-        yield earlier.reshape(len(block), n) <= max_earlier
+        order = np.tile(np.arange(n), (min(per_block, trials - lo), 1))
+        for row, rng in zip(order, streams):
+            rng.shuffle(row)  # the same draws as rng.permutation(n)
+        seen = np.bitwise_or.accumulate(singletons.take(order, axis=1), axis=2)
+        seen &= adjacency.take(order, axis=1)
+        earlier = np.bitwise_count(seen).sum(axis=0, dtype=np.min_scalar_type(n))  # counts < n
+        kept = np.empty(order.shape, dtype=bool)
+        kept[np.arange(len(order))[:, None], order] = earlier <= max_earlier
+        yield kept
 
 
 def _best_of_trials(
@@ -405,8 +401,7 @@ def _best_of_trials(
         top = int(sizes.max())
         if top >= len(best):
             run = min(tuple(np.flatnonzero(row).tolist()) for row in kept[sizes == top])
-            if top > len(best) or run < best:
-                best = run
+            best = run if top > len(best) else min(best, run)
     return best, Fraction(total, trials)
 
 

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from biramsey import constructions
 from biramsey.cli import cli_main
 from biramsey.model import (
     ArcState,
@@ -269,6 +270,20 @@ def test_construct_refuses_a_huge_n_before_building(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert not out_dir.exists()
+
+
+def test_blowup_refuses_an_oversized_class_before_drawing(tmp_path, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a class tournament was drawn")
+
+    monkeypatch.setattr(constructions, "random_tournament", no_draw)
+    out_dir = tmp_path / "out"
+    for n, t, size in ((3000, 1, 3000), (82, 2, 41)):
+        argv = ["construct", "blowup", "--n", str(n), "--t", str(t), "--out", str(out_dir)]
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err == f"error: class size {size} exceeds transitive solver cap 40\n"
     assert not out_dir.exists()
 
 

@@ -266,6 +266,14 @@ def _differential_graphs():
         n = int(rng.integers(1, 41))
         p = float(rng.uniform(0.05, 0.95))
         graphs.append(random_simple_graph(n, p, int(rng.integers(0, 2**31))))
+    # one, two and three 64-bit words, either side of each word boundary
+    for n in (63, 64, 65, 128, 129):
+        p = float(rng.uniform(0.05, 0.95))
+        graphs.append(random_simple_graph(n, p, int(rng.integers(0, 2**31))))
+    # earlier-neighbour counts past 255: K_257's last vertex has 256, the
+    # star's centre up to 299
+    graphs.append(from_edges(257, combinations(range(257), 2)))
+    graphs.append(from_edges(300, [(0, v) for v in range(1, 300)]))
     return graphs
 
 
@@ -287,7 +295,7 @@ def test_block_engine_matches_serial_rule(monkeypatch, block, max_earlier):
     # trial counts 1, one below and one above a block cover both boundaries
     monkeypatch.setattr(heuristics, "_ORACLE_BLOCK", block)
     for index, g in enumerate(_differential_graphs()):
-        per_block = max(1, block // max(1, len(g), edge_count(g)))
+        per_block = max(1, block // max(1, len(g) * -(-len(g) // 64)))
         if per_block > 200:
             continue  # a block boundary this far out is covered at block=64
         seed = 1000 + index
