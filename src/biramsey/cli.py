@@ -6,7 +6,9 @@ error carries only errors and atlas's ``# violations=`` line.  A fixed
 default seed makes bare invocations reproducible.  The oracle scans a cell
 in one process in a fixed (placement, assignment code) order, so output is
 byte-identical whatever --threads says (accepted for compatibility).  Exit
-codes: 0 success, 1 a certificate claim failed, 2 a usage or input error.
+codes: 0 success, 1 a certificate claim failed, 2 a usage or input error
+(an ``OSError`` or a ``ValueError``, which every library input error
+subclasses).  The argument parser is built once per process, on first use.
 
 The environment variable RAMSEY_BUDGET sets the enumeration budget of
 oracle and atlas (number of enumerated instances per cell) when --budget
@@ -16,6 +18,7 @@ is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -28,11 +31,7 @@ from . import bounds as bounds_mod
 from . import constructions as cons
 from .heuristics import mono_clique_trials, transitive_trials
 from .model import (
-    BicoloredGraph,
-    Instance,
-    pair_count,
-    parse_instance,
-    serialize_instance,
+    Instance, MonoCliqueWitness, Witness, pair_count, parse_instance, serialize_instance,
 )
 from .solvers import (
     DEFAULT_ORACLE_BUDGET,
@@ -110,7 +109,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "claimed_m": cert.claimed_m,
         "claimed_bound": cert.claimed_bound,
         "equality": cert.equality,
-        "direction": cert.direction,
+        "direction": "upper-bound-on-guarantee",
         "instance_file": instance_path.name,
         "extras": {k: _plain(v) for k, v in cert.extras.items()},
     }
@@ -132,31 +131,28 @@ def _plain(value: object) -> object:
     return value
 
 
+def _print_witness(witness: Witness) -> None:
+    print("witness=" + ",".join(map(str, witness.vertices)))
+    if isinstance(witness, MonoCliqueWitness):
+        print(f"color={witness.color.token}")
+    else:
+        print("order=" + ",".join(map(str, witness.order)))
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     for path in args.instances:
         instance = parse_instance(path.read_text())
-        if isinstance(instance, BicoloredGraph):
-            family, m = "bichrome", instance.unicolored_count
-            result = max_mono_clique(instance)
-            detail = f"color={result.witness.color.token}"
-        else:
-            family, m = "semi", instance.oneway_count
-            result = max_transitive_set(instance)
-            detail = "order=" + ",".join(map(str, result.witness.order))
-        print(f"file={path} family={family} n={instance.n} m={m}")
+        solve = max_mono_clique if instance.FAMILY == "bichrome" else max_transitive_set
+        result = solve(instance)
+        print(f"file={path} family={instance.FAMILY} n={instance.n} m={instance.m}")
         print(f"optimum={result.size}")
-        print("witness=" + ",".join(map(str, result.witness.vertices)))
-        print(detail)
+        _print_witness(result.witness)
         print(f"nodes={result.nodes_explored}")
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    families = (
-        [("coloring", "f"), ("digraph", "F")]
-        if args.family == "both"
-        else [("coloring", "f")] if args.family == "coloring" else [("digraph", "F")]
-    )
+    families = [p for p in (("coloring", "f"), ("digraph", "F")) if args.family in (p[0], "both")]
     budget = _budget(args)
     args.out.mkdir(parents=True, exist_ok=True)
     values: dict[str, tuple[int, Path]] = {}
@@ -178,81 +174,69 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_lowerbound(args: argparse.Namespace) -> int:
     for path in args.instances:
         instance = parse_instance(path.read_text())
-        if isinstance(instance, BicoloredGraph):
-            witness, stats = mono_clique_trials(instance, args.trials, args.seed)
-            family = "bichrome"
-            detail = f"color={witness.color.token}"
-        else:
-            witness, stats = transitive_trials(instance, args.trials, args.seed)
-            family = "semi"
-            detail = "order=" + ",".join(map(str, witness.order))
+        trials = mono_clique_trials if instance.FAMILY == "bichrome" else transitive_trials
+        witness, stats = trials(instance, args.trials, args.seed)
         print(
-            f"file={path} family={family} n={instance.n} "
+            f"file={path} family={instance.FAMILY} n={instance.n} "
             f"trials={stats.trials} seed={args.seed}"
         )
         print(f"best_size={len(witness.vertices)}")
-        print("witness=" + ",".join(map(str, witness.vertices)))
-        print(detail)
+        _print_witness(witness)
         print(f"mean={stats.mean}")
         print(f"guarantee={stats.guarantee}")
     return 0
 
 
 def _format_value(value: "Fraction | float | int | None") -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "-" if value is None else str(value)
 
 
-def _print_reports(reports: list) -> None:
-    print("name,side,exact,value,params")
-    for r in reports:
-        params = ";".join(f"{k}={_plain(v)}" for k, v in sorted(r.params.items()))
-        print(f"{r.name},{r.side},{str(r.exact).lower()},{_format_value(r.value)},{params}")
+def _moments(args: argparse.Namespace) -> dict:
+    z, y = bounds_mod.moment_compare(args.population, args.successes, args.draws, args.base)
+    return {"hypergeometric_moment": z, "binomial_moment": y, "inequality_holds": z <= y}
+
+
+def _moment_identity(args: argparse.Namespace) -> dict:
+    lhs, rhs = bounds_mod.binomial_moment_identity(
+        args.population, args.successes, args.draws, args.k
+    )
+    return {"summed": lhs, "closed_form": rhs, "identity_holds": lhs == rhs}
+
+
+def _lll(args: argparse.Namespace) -> dict:
+    check = bounds_mod.lll_condition(args.n, args.k)
+    keys = ("holds", "event_probability", "dependency_bound", "ratio", "ratio_ok")
+    return {key: getattr(check, key) for key in keys}
+
+
+# bound name -> its rows: a list of BoundReport, or a quantity -> value map
+_BOUNDS = {
+    "classic": lambda args: bounds_mod.classic_bounds(args.n),
+    "first-moment": lambda args: [bounds_mod.first_moment_bound(args.p, args.n)],
+    "blowup": lambda args: [bounds_mod.blowup_bound(args.p, args.n)],
+    "best-upper": lambda args: [bounds_mod.best_upper_bound(args.p, args.n)],
+    "moments": _moments,
+    "moment-identity": _moment_identity,
+    "lll": _lll,
+    "lll-threshold": lambda args: [bounds_mod.lll_threshold(args.n)],
+    "lower-formulas": lambda args: bounds_mod.lower_bound_formulas(args.n, args.m),
+}
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "classic":
-        _print_reports(bounds_mod.classic_bounds(args.n))
-    elif name == "first-moment":
-        _print_reports([bounds_mod.first_moment_bound(args.p, args.n)])
-    elif name == "blowup":
-        _print_reports([bounds_mod.blowup_bound(args.p, args.n)])
-    elif name == "best-upper":
-        _print_reports([bounds_mod.best_upper_bound(args.p, args.n)])
-    elif name == "moments":
-        z, y = bounds_mod.moment_compare(
-            args.population, args.successes, args.draws, args.base
-        )
-        print("quantity,value")
-        print(f"hypergeometric_moment,{z}")
-        print(f"binomial_moment,{y}")
-        print(f"inequality_holds,{str(z <= y).lower()}")
-    elif name == "moment-identity":
-        lhs, rhs = bounds_mod.binomial_moment_identity(
-            args.population, args.successes, args.draws, args.k
-        )
-        print("quantity,value")
-        print(f"summed,{lhs}")
-        print(f"closed_form,{rhs}")
-        print(f"identity_holds,{str(lhs == rhs).lower()}")
-    elif name == "lll":
-        check = bounds_mod.lll_condition(args.n, args.k)
-        print("quantity,value")
-        print(f"holds,{str(check.holds).lower()}")
-        print(f"event_probability,{check.event_probability}")
-        print(f"dependency_bound,{check.dependency_bound}")
-        print(f"ratio,{check.ratio}")
-        print(f"ratio_ok,{str(check.ratio_ok).lower()}")
-    elif name == "lll-threshold":
-        _print_reports([bounds_mod.lll_threshold(args.n)])
-    elif name == "lower-formulas":
-        _print_reports(bounds_mod.lower_bound_formulas(args.n, args.m))
-    elif name == "atlas":
+    if args.name == "atlas":
         _bound_atlas(args.n_max, args.m_max)
+        return 0
+    rows = _BOUNDS[args.name](args)
+    if isinstance(rows, dict):
+        print("quantity,value")
+        for key, value in rows.items():
+            print(f"{key},{_plain(value)}")
+        return 0
+    print("name,side,exact,value,params")
+    for r in rows:
+        params = ";".join(f"{k}={_plain(v)}" for k, v in sorted(r.params.items()))
+        print(f"{r.name},{r.side},{str(r.exact).lower()},{_format_value(r.value)},{params}")
     return 0
 
 
@@ -392,6 +376,7 @@ _CONSTRUCT_OPTIONS = {
 }
 
 
+@functools.cache  # built on first use, once per process, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biramsey",
@@ -434,13 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lowerbound)
 
     p = sub.add_parser("bound", help="closed-form bound reports")
-    p.add_argument(
-        "name",
-        choices=[
-            "classic", "first-moment", "blowup", "best-upper", "moments",
-            "moment-identity", "lll", "lll-threshold", "lower-formulas", "atlas",
-        ],
-    )
+    p.add_argument("name", choices=[*_BOUNDS, "atlas"])
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--k", type=int, default=5)
@@ -468,24 +447,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        BudgetExceeded,
-        cons.InfeasibleParams,
-        cons.UnsupportedK,
-        cons.DivisibilityViolation,
-        cons.ClassSizeMismatch,
-        bounds_mod.ParameterOutOfRange,
-        bounds_mod.DegenerateDensity,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # every library input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

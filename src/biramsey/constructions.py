@@ -117,18 +117,12 @@ class ConstructionCert:
     claimed_bound: int
     provenance: str
     equality: bool = False
-    direction: str = "upper-bound-on-guarantee"
     extras: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        actual = (
-            self.instance.unicolored_count
-            if isinstance(self.instance, BicoloredGraph)
-            else self.instance.oneway_count
-        )
-        if actual != self.claimed_m:
+        if self.instance.m != self.claimed_m:
             raise ValueError(
-                f"{self.provenance}: built {actual} unicolored/one-way pairs, "
+                f"{self.provenance}: built {self.instance.m} unicolored/one-way pairs, "
                 f"claimed {self.claimed_m}"
             )
 
@@ -150,14 +144,10 @@ def verify_claims(
     Returns a list of violated invariants (empty when everything checks).
     """
     failures: list[str] = []
-    if isinstance(instance, BicoloredGraph):
-        actual_m = instance.unicolored_count
-        optimum = max_mono_clique(instance).size
-    else:
-        actual_m = instance.oneway_count
-        optimum = max_transitive_set(instance).size
-    if actual_m != claimed_m:
-        failures.append(f"m-accounting: instance has m={actual_m}, claimed {claimed_m}")
+    solve = max_mono_clique if instance.FAMILY == "bichrome" else max_transitive_set
+    optimum = solve(instance).size
+    if instance.m != claimed_m:
+        failures.append(f"m-accounting: instance has m={instance.m}, claimed {claimed_m}")
     if optimum > claimed_bound:
         failures.append(f"ceiling: solver optimum {optimum} exceeds claimed {claimed_bound}")
     if equality and optimum != claimed_bound:
@@ -397,13 +387,18 @@ def lex_clique_packing(n: int, c: int) -> ConstructionCert:
     )
 
 
-def _mixed_blocks(n: int, k: int, gamma: Fraction) -> tuple[list[int], int]:
-    """Block sizes for the mixed constructions: larger blocks first, then
-    the isolated-vertex count."""
+def _check_mix(k: int, gamma: Fraction) -> None:
+    """The parameter check both mixed constructions share."""
     if k < 2:
         raise InfeasibleParams("k must be at least 2")
     if not 0 <= gamma <= 1:
         raise InfeasibleParams("gamma must lie in [0, 1]")
+
+
+def _mixed_blocks(n: int, k: int, gamma: Fraction) -> tuple[list[int], int]:
+    """Block sizes for the mixed clique packing: larger blocks first, then
+    the isolated-vertex count."""
+    _check_mix(k, gamma)
     small = int(n * gamma / k)  # floor
     large = int(n * (1 - gamma) / (k + 1))
     sizes = [k + 1] * large + [k] * small
@@ -458,10 +453,7 @@ def mixed_digraph(n: int, k: int, gamma: "Fraction | int | float") -> Constructi
     ceiling, recorded next to the clean weighted formula value.
     """
     gamma = Fraction(gamma)
-    if k < 2:
-        raise InfeasibleParams("k must be at least 2")
-    if not 0 <= gamma <= 1:
-        raise InfeasibleParams("gamma must lie in [0, 1]")
+    _check_mix(k, gamma)
     if k not in EXTREMAL_ORDER or (k + 1) not in EXTREMAL_ORDER:
         raise UnsupportedK(f"k={k} needs extremal tournaments for k and k+1")
     small = extremal_tournament(k)

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .model import ArcState, SemicompleteDigraph, pair_count, pair_index
-from .solvers import _ORACLE_BLOCK, BudgetExceeded, _transitive_sizes
+from .solvers import _ORACLE_BLOCK, BudgetExceeded, _cell_instance, _transitive_sizes
 
 __all__ = [
     "tournament_from_code",
@@ -42,7 +42,9 @@ SCAN_ORDER_CAP = 7  # 2^21 codes; order 8 would be 2^28
 
 
 def tournament_from_code(code: int, order: int) -> SemicompleteDigraph:
-    return SemicompleteDigraph(order, bytes(1 - (code >> bit & 1) for bit in range(pair_count(order))))
+    """The tournament of a scan code: the oracle's digraph instance ``code``
+    with every pair placed."""
+    return _cell_instance(order, "digraph", tuple(range(pair_count(order))), code)
 
 
 def tournament_to_code(digraph: SemicompleteDigraph) -> int:

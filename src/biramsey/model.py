@@ -23,11 +23,13 @@ line order is free; serialization is canonical (pairs in lexicographic
 order) so serialized instances diff cleanly.
 
 Everything else is derived from the codes: ``states`` (the enum members),
-``pair_codes`` (a zero-copy read-only int8 view) and the counts.  The
-reduction between the families only changes the tag on the codes.  Every
-graph derived from an instance (color classes, one-way arcs, obstacle
-graphs) is a list of per-vertex neighbour bitmasks built from a selection
-of the codes by one helper, :func:`_pair_masks`.
+``pair_codes`` (a zero-copy read-only int8 view) and the counts, ``m``
+among them.  Each family names itself once, in the class constant
+``FAMILY`` (its header token).  The reduction between the families only
+changes the tag on the codes.  Every graph derived from an instance (color
+classes, one-way arcs, obstacle graphs) is a list of per-vertex neighbour
+bitmasks built from a selection of the codes by one helper,
+:func:`_pair_masks`.
 """
 
 from __future__ import annotations
@@ -69,38 +71,33 @@ __all__ = [
 ]
 
 
-class EdgeColor(enum.Enum):
+class _PairState(enum.Enum):
+    """A pair state: ``token`` spells it in the text format, ``code`` is its
+    byte in an instance's ``codes``."""
+
+    @property
+    def token(self) -> str:
+        return self.value
+
+    @property
+    def code(self) -> int:
+        return list(type(self)).index(self)
+
+
+class EdgeColor(_PairState):
     """State of a pair in a two-coloring where both colors may coexist."""
 
     RED = "R"
     BLUE = "B"
     RED_BLUE = "RB"
 
-    @property
-    def token(self) -> str:
-        return self.value
 
-    @property
-    def code(self) -> int:
-        """This state's byte in an instance's ``codes``."""
-        return list(type(self)).index(self)
-
-
-class ArcState(enum.Enum):
+class ArcState(_PairState):
     """Orientation of a pair {u, v}, u < v, in a semicomplete digraph."""
 
     FORWARD = ">"  # u -> v
     BACKWARD = "<"  # v -> u
     BIORIENTED = "<>"
-
-    @property
-    def token(self) -> str:
-        return self.value
-
-    @property
-    def code(self) -> int:
-        """This state's byte in an instance's ``codes``."""
-        return list(type(self)).index(self)
 
 
 def pair_count(n: int) -> int:
@@ -147,7 +144,8 @@ class _PairStates:
     ``codes`` holds byte ``pair_index(u, v, n)`` for each pair u < v: the
     state's place in ``_STATES``, the family's enum in code order (0 red /
     forward, 1 blue / backward, 2 both).  ``_REVERSED[code]`` is the code of
-    the same pair read as (v, u).
+    the same pair read as (v, u).  ``FAMILY`` is the family's header token
+    in the text format.
     """
 
     n: int
@@ -201,6 +199,11 @@ class _PairStates:
             return self._STATES[self._REVERSED[self.codes[pair_index(v, u, self.n)]]]
         return self._STATES[self.codes[pair_index(u, v, self.n)]]
 
+    @property
+    def m(self) -> int:
+        """Pairs in exactly one state: unicolored resp. one-way."""
+        return len(self.codes) - self.codes.count(_BOTH)
+
     def density(self) -> Fraction:
         """Exact fraction p of pairs carrying both states."""
         return Fraction(self.codes.count(_BOTH), len(self.codes)) if self.codes else Fraction(0)
@@ -209,13 +212,10 @@ class _PairStates:
 class BicoloredGraph(_PairStates):
     """Complete graph whose pairs are red, blue, or both."""
 
+    FAMILY = "bichrome"
     _STATES = tuple(EdgeColor)
     _REVERSED = (0, 1, 2)
-
-    @property
-    def unicolored_count(self) -> int:
-        """The quantity m: pairs carrying exactly one color."""
-        return len(self.codes) - self.codes.count(_BOTH)
+    unicolored_count = _PairStates.m
 
     @property
     def bicolored_count(self) -> int:
@@ -230,18 +230,15 @@ class BicoloredGraph(_PairStates):
 class SemicompleteDigraph(_PairStates):
     """Digraph where every pair carries one or both orientations."""
 
+    FAMILY = "semi"
     _STATES = tuple(ArcState)
     _REVERSED = (1, 0, 2)
+    oneway_count = _PairStates.m
 
     @classmethod
     def from_arcs(cls, n: int, arcs: "set[tuple[int, int]] | frozenset[tuple[int, int]]") -> "SemicompleteDigraph":
         """Build from the set of one-way arcs (tail, head); other pairs bioriented."""
         return cls.from_map(n, dict.fromkeys(arcs, ArcState.FORWARD))
-
-    @property
-    def oneway_count(self) -> int:
-        """The quantity m: pairs carrying exactly one orientation."""
-        return len(self.codes) - self.codes.count(_BOTH)
 
     @property
     def bioriented_count(self) -> int:
@@ -372,7 +369,7 @@ class MissingPair(InstanceFormatError):
     pass
 
 
-_FAMILIES = {"bichrome": BicoloredGraph, "semi": SemicompleteDigraph}
+_FAMILIES = {cls.FAMILY: cls for cls in (BicoloredGraph, SemicompleteDigraph)}
 _CODE_BY_TOKEN = {
     family: {state.token: code for code, state in enumerate(cls._STATES)}
     for family, cls in _FAMILIES.items()
@@ -524,17 +521,23 @@ def _diagnose_pairs(lines: list[str], start: int, n: int, family: str) -> NoRetu
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Canonical text form: header, then pairs in lexicographic order, LF."""
-    if isinstance(instance, BicoloredGraph):
-        head = f"bichrome {instance.n}"
-    elif isinstance(instance, SemicompleteDigraph):
-        head = f"semi {instance.n}"
-    else:
+    """Canonical text form: header, then pairs in lexicographic order, LF.
+
+    The text is joined from one string per row u (its pairs (u, v), v > u),
+    so the peak stays near twice the text: the rows plus their join."""
+    if not isinstance(instance, _PairStates):
         raise TypeError(f"not an instance: {instance!r}")
-    tokens = [state.token for state in instance._STATES]
-    lines = [head]
-    lines += [f"{u} {v} {tokens[code]}" for (u, v), code in zip(iter_pairs(instance.n), instance.codes)]
-    return "\n".join(lines) + "\n"
+    n, codes = instance.n, instance.codes
+    ends = [f" {state.token}\n" for state in instance._STATES]
+    names = [str(v) for v in range(n)]
+    rows = [f"{instance.FAMILY} {n}\n"]
+    start = 0
+    for u in range(n):
+        stop = start + n - 1 - u
+        head, pairs = f"{u} ", zip(names[u + 1 :], codes[start:stop])
+        rows.append("".join([head + v + ends[code] for v, code in pairs]))
+        start = stop
+    return "".join(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +558,7 @@ def random_coloring(n: int, seed: "int | np.random.Generator") -> BicoloredGraph
 
 def random_semicomplete(n: int, seed: "int | np.random.Generator") -> SemicompleteDigraph:
     """Uniform independent pair states over {forward, backward, bioriented}."""
-    draws = _rng(seed).integers(0, 3, size=pair_count(n))
-    return SemicompleteDigraph(n, draws.astype(np.int8).tobytes())
+    return coloring_to_digraph(random_coloring(n, seed))
 
 
 def random_tournament(n: int, seed: "int | np.random.Generator") -> SemicompleteDigraph:

@@ -1,19 +1,23 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biramsey import constructions
+from biramsey import bounds, cli, constructions, solvers
 from biramsey.cli import cli_main
 from biramsey.model import (
     ArcState,
     BicoloredGraph,
     EdgeColor,
+    MissingPair,
     SemicompleteDigraph,
     pair_count,
     serialize_instance,
@@ -592,3 +596,71 @@ def test_construct_rejects_options_the_builder_does_not_take(tmp_path, argv, str
     assert out == ""
     assert err.startswith("error:") and stray in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(["bound", "lll-threshold", "--n", "100"])[0] == 0
+    first = len(built)
+    assert run_cli(["bound", "classic", "--n", "8"])[0] == 0
+    assert first > 0 and len(built) == first
+
+
+_INPUT_ERRORS = [
+    solvers.BudgetExceeded("cell needs 10 instances; budget is 2", estimate=10),
+    solvers.SizeLimitExceeded("n=99 exceeds transitive solver cap 40"),
+    constructions.InfeasibleParams("need 0 <= m <= n"),
+    constructions.ClassSizeMismatch("inner sizes do not match classes"),
+    constructions.UnsupportedK("no extremal tournament bundled for k=9"),
+    constructions.DivisibilityViolation("13 must divide n"),
+    bounds.ParameterOutOfRange("threshold evaluated only for n >= 55"),
+    bounds.DegenerateDensity("density p=0 outside (0, 1)"),
+    MissingPair("pairs never listed: [(0, 1)]"),
+    FileNotFoundError(2, "No such file or directory", "missing.txt"),
+]
+
+
+@pytest.mark.parametrize("error", _INPUT_ERRORS, ids=lambda error: type(error).__name__)
+def test_every_library_input_error_exits_2(tmp_path, monkeypatch, error):
+    def failing(n, m):
+        raise error
+
+    monkeypatch.setitem(constructions.BUILDERS, "matching", failing)
+    code, out, err = run_cli(["construct", "matching", "--n", "4", "--out", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {error}\n"
+
+
+def test_an_internal_packing_collision_is_not_an_input_error(tmp_path, monkeypatch):
+    def failing(n, m):
+        raise constructions.PackingCollision("pair (0, 1) would receive both unicolors")
+
+    monkeypatch.setitem(constructions.BUILDERS, "matching", failing)
+    with pytest.raises(constructions.PackingCollision):
+        run_cli(["construct", "matching", "--n", "4", "--out", str(tmp_path)])
+
+
+def _readme_commands():
+    """Argument lists of the README's "Command line" examples, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("biramsey ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    subcommands = {"construct", "solve", "oracle", "lowerbound", "bound", "verify", "atlas"}
+    assert {argv[0] for argv in commands} == subcommands
+    for argv in commands:
+        code, _, err = run_cli(argv)
+        assert code == 0, (argv, err)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -544,3 +545,26 @@ def test_property_pair_masks_match_the_enum_route(instance):
             n, lambda u, v: arc(u, v) and not arc(v, u)
         )
         assert one_way_graph(instance) == _masks_of(n, lambda u, v: arc(u, v) != arc(v, u))
+
+
+def test_family_and_m_are_read_only_facts():
+    g = random_coloring(9, 4)
+    d = coloring_to_digraph(g)
+    assert (g.FAMILY, d.FAMILY) == ("bichrome", "semi")
+    assert g.m == g.unicolored_count == d.m == d.oneway_count == pair_count(9) - g.bicolored_count
+    for instance in (g, d):
+        assert serialize_instance(instance).startswith(f"{instance.FAMILY} 9\n")
+        with pytest.raises(AttributeError):
+            instance.m = 0
+
+
+def test_serialize_peak_memory_stays_near_the_text():
+    # one string per pair peaked at about 8x the text; one per row at 2x
+    instance = random_coloring(600, 5)
+    tracemalloc.start()
+    try:
+        text = serialize_instance(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
