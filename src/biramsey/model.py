@@ -20,7 +20,10 @@ Text format, one instance per file, LF newlines, '#' starts a comment::
 
 with S in {R, B, RB} for colorings and {>, <, <>} for digraphs.  Input
 line order is free; serialization is canonical (pairs in lexicographic
-order) so serialized instances diff cleanly.
+order) so serialized instances diff cleanly.  Parsing reads a file in the
+strict grammar serialization writes (single spaces, no comments or blank
+lines) in one numpy pass over its bytes; any other spelling the format
+allows, and every error message, comes from one per-line routine.
 
 Everything else is derived from the codes: ``states`` (the enum members),
 ``pair_codes`` (a zero-copy read-only int8 view) and the counts, ``m``
@@ -38,7 +41,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, NoReturn, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -376,21 +379,6 @@ _CODE_BY_TOKEN = {
 }
 
 
-class _VertexIds(dict):
-    """Vertex-id tokens: the canonical spellings of 0..n-1 map straight to
-    ints; any other token goes through ``int`` and must land in range."""
-
-    def __init__(self, n: int):
-        super().__init__((str(v), v) for v in range(n))
-        self.n = n
-
-    def __missing__(self, token: str) -> int:
-        v = int(token)
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return v
-
-
 def parse_instance(text: str) -> Instance:
     """Parse the line-based instance format; see the module docstring.
 
@@ -399,19 +387,20 @@ def parse_instance(text: str) -> Instance:
     :class:`VertexOutOfRange`, plus :class:`InvalidHeader` and
     :class:`MalformedLine` for structural problems.
 
-    The pairs take one lean pass, one split per line into flat lists of
-    ids and state codes, and numpy places them.  A file that pass rejects
-    is walked again line by line to name its first error.
+    A file in the strict grammar that serialization writes (ASCII, header on
+    line 1, no comments, each pair line exactly ``u SP v SP S LF``, the last
+    LF optional) is read in one numpy pass over its bytes.  Every other file,
+    and every file that pass rejects, is read one line at a time, which
+    accepts every spelling the format allows and names the first error.
     """
-    lines = text.splitlines()
-    start, family, n = _parse_header(lines)
-    body: Iterable[str] = islice(lines, start, None)
-    if "#" in text:
-        body = (raw.split("#", 1)[0] for raw in body)
-    codes = _place_pairs(body, n, family)
-    if codes is None:
-        _diagnose_pairs(lines, start, n, family)
-    return _FAMILIES[family](n, codes.tobytes())
+    parsed = _parse_strict(text)
+    if parsed is None:
+        lines = text.splitlines()
+        start, family, n = _parse_header(lines)
+        codes = _parse_lines(lines, start, n, family)
+    else:
+        family, n, codes = parsed
+    return _FAMILIES[family](n, codes)
 
 
 def _parse_header(lines: list[str]) -> tuple[int, str, int]:
@@ -437,40 +426,124 @@ def _parse_header(lines: list[str]) -> tuple[int, str, int]:
     raise InvalidHeader("empty input: missing header line")
 
 
-def _read_pairs(body: Iterable[str], n: int, family: str) -> "tuple[np.ndarray, ...] | None":
-    """Ids and state codes of the pair lines (comments removed), or None
-    when a line is malformed or names a vertex out of range.  The per-line
-    lists die on return, before the pairs are placed, which keeps the
-    parse's peak memory near the text's own."""
-    ids = _VertexIds(n)
-    code_by_token = _CODE_BY_TOKEN[family]
-    us: list[int] = []
-    vs: list[int] = []
-    states: list[int] = []
-    add_u, add_v, add_state = us.append, vs.append, states.append
+def _code_by_key(family: str) -> np.ndarray:
+    """State code of each 2-byte key, -1 where the key spells no token.
+
+    A token's key is its first two bytes read as a little-endian word; the
+    second byte of a 1-byte token is the LF that ends its line."""
+    table = np.full(1 << 16, -1, dtype=np.int8)
+    for token, code in _CODE_BY_TOKEN[family].items():
+        table[int.from_bytes((token + "\n").encode()[:2], "little")] = code
+    return table
+
+
+_CODE_BY_KEY = {family: _code_by_key(family) for family in _FAMILIES}
+_MAX_ID_DIGITS = 9  # below 2^31, so an id never wraps in int32
+
+
+def _parse_strict(text: str) -> "tuple[str, int, bytes] | None":
+    """Family, n and pair codes of a valid file in the strict grammar, or
+    None for any other file.
+
+    The body's spaces and LFs are located with numpy, 3 per line; the state
+    token after the second space is read as a 2-byte key, every other body
+    byte must be a digit, and each id, at most ``_MAX_ID_DIGITS`` digits,
+    is built digit by digit and must be below n.  Nothing C(n, 2)-sized is
+    allocated before the lines are counted, positions and ids are int32
+    while the text is under 2 GiB, and each mask and position array is
+    dropped once read, so the peak stays a few times the text's own size.
+    """
+    if not text.isascii() or "#" in text:
+        return None
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    start = data.index(b"\n") + 1
+    head = data[: start - 1].split(b" ")
+    if len(head) != 2 or not head[1].isdigit():
+        return None
+    family = head[0].decode()
     try:
-        for tokens in map(str.split, body):
-            if tokens:
-                u, v, state = tokens
-                add_u(ids[u])
-                add_v(ids[v])
-                add_state(code_by_token[state])
-    except (ValueError, KeyError):
+        n = int(head[1])
+    except ValueError:  # more digits than int() takes
         return None
-    return np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp), np.array(states, dtype=np.int8)
+    pairs = pair_count(n)
+    body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    if family not in _FAMILIES or n < 1 or np.count_nonzero(body == ord("\n")) != pairs:
+        return None
+    if not pairs:
+        return family, n, b""
+    # spaces and LFs, in this order on every line, and no other byte below '!'
+    if np.count_nonzero(body == ord(" ")) != 2 * pairs:
+        return None
+    nondigits = len(body) - np.count_nonzero(body - np.uint8(ord("0")) < 10)
+    seps = np.flatnonzero(body <= ord(" "))
+    if len(seps) != 3 * pairs:
+        return None
+    position = np.int32 if len(data) <= np.iinfo(np.int32).max else np.intp
+    seps = seps.astype(position).reshape(pairs, 3)
+    if (body.take(seps[:, 2]) != ord("\n")).any():
+        return None
+    # bytes between separators: every one a digit but the 1 or 2 token bytes
+    width = seps[:, 2] - seps[:, 1] - 1
+    if width.min() < 1 or width.max() > 2 or nondigits != 3 * pairs + int(width.sum()):
+        return None
+    del width
+    key = body.take(seps[:, 1] + 2).astype(np.uint16)
+    key <<= 8
+    key |= body.take(seps[:, 1] + 1)
+    code = _CODE_BY_KEY[family].take(key)
+    del key
+    if (code < 0).any():
+        return None
+    # u runs from the byte after the previous line's LF (at -1 for the
+    # first line) to the first space; one buffer holds both widths
+    width = np.empty(pairs, dtype=position)
+    width[0] = -1
+    width[1:] = seps[:-1, 2]
+    np.subtract(seps[:, 0], width, out=width)
+    width -= 1
+    u = _read_ids(body, seps[:, 0], width, n)
+    if u is None:
+        return None
+    np.subtract(seps[:, 1], seps[:, 0], out=width)
+    width -= 1
+    v = _read_ids(body, seps[:, 1], width, n)
+    del seps, width
+    if v is None:
+        return None
+    codes = _place_pairs(u, v, code, n, family)
+    return None if codes is None else (family, n, codes.tobytes())
 
 
-def _place_pairs(body: Iterable[str], n: int, family: str) -> "np.ndarray | None":
-    """Pair codes of a valid body (comments removed), or None when any line
-    is malformed or out of range, or a pair is repeated or missing."""
-    pairs = _read_pairs(body, n, family)
-    if pairs is None:
+def _read_ids(body: np.ndarray, stops: np.ndarray, width: np.ndarray, n: int) -> "np.ndarray | None":
+    """The ids spelled by the digits ``body[stops[i] - width[i]:stops[i]]``,
+    or None when one is empty, longer than ``_MAX_ID_DIGITS`` or not below n."""
+    longest = int(width.max())
+    if width.min() < 1 or longest > _MAX_ID_DIGITS:
         return None
-    u, v, code = pairs
-    if len(code) != pair_count(n) or (u == v).any():
+    at = stops - 1
+    ids = body.take(at).astype(stops.dtype)
+    ids -= ord("0")
+    digit = np.empty_like(ids)
+    for k in range(1, longest):  # the digit k places left of the last
+        at -= 1
+        digit[:] = body.take(at)
+        digit -= ord("0")
+        digit *= 10**k
+        digit *= width > k  # a shorter id has no digit here
+        ids += digit
+    return None if int(ids.max()) >= n else ids
+
+
+def _place_pairs(u: np.ndarray, v: np.ndarray, code: np.ndarray, n: int, family: str) -> "np.ndarray | None":
+    """Pair codes of C(n, 2) pair lines read as ids ``u``, ``v`` in range
+    and state codes ``code``, or None when a line names u == v, or a pair
+    is repeated (and so another is missing)."""
+    if (u == v).any():
         return None
     if family == "semi":
-        code[(u > v) & (code != ArcState.BIORIENTED.code)] ^= 1  # a reversed arc flips
+        code[(u > v) & (code != _BOTH)] ^= 1  # a reversed arc flips
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     # pair_index(lo, hi, n) = lo (2n - 3 - lo) / 2 + hi - 1, in place
     index = 2 * n - 3 - lo
@@ -478,18 +551,24 @@ def _place_pairs(body: Iterable[str], n: int, family: str) -> "np.ndarray | None
     index //= 2
     index += hi
     index -= 1
+    del lo, hi
     codes = np.full(len(code), -1, dtype=np.int8)
     codes[index] = code
     # C(n, 2) lines fill every slot exactly when no pair repeats
     return None if (codes < 0).any() else codes
 
 
-def _diagnose_pairs(lines: list[str], start: int, n: int, family: str) -> NoReturn:
-    """Raise the first error of a body :func:`_place_pairs` rejected."""
+_UNLISTED = 3  # a slot no pair line has filled yet
+
+
+def _parse_lines(lines: list[str], start: int, n: int, family: str) -> bytes:
+    """Pair codes of the body after header line ``start``, read one line at
+    a time; raises the first error of an invalid body."""
     table = _CODE_BY_TOKEN[family]
-    seen = [False] * pair_count(n)
-    for line_no, raw in enumerate(lines[start:], start=start + 1):
-        tokens = raw.split("#", 1)[0].split()
+    reverse = _FAMILIES[family]._REVERSED
+    codes = bytearray([_UNLISTED]) * pair_count(n)
+    for line_no, raw in enumerate(islice(lines, start, None), start=start + 1):
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         if len(tokens) != 3:
@@ -507,17 +586,19 @@ def _diagnose_pairs(lines: list[str], start: int, n: int, family: str) -> NoRetu
             raise BadState(
                 f"state {token!r} invalid for family {family!r}", line_no, raw
             )
+        code = table[token]
         if u > v:
-            u, v = v, u
-        idx = pair_index(u, v, n)
-        if seen[idx]:
+            u, v, code = v, u, reverse[code]
+        idx = u * (2 * n - 3 - u) // 2 + v - 1  # pair_index(u, v, n)
+        if codes[idx] != _UNLISTED:
             raise DuplicatePair(f"pair ({u}, {v}) listed twice", line_no, raw)
-        seen[idx] = True
-    # six are enough to print five and the ellipsis
-    missing = list(islice((p for p, ok in zip(iter_pairs(n), seen) if not ok), 6))
-    if missing:
+        codes[idx] = code
+    if _UNLISTED in codes:
+        # six are enough to print five and the ellipsis
+        unlisted = (p for p, code in zip(iter_pairs(n), codes) if code == _UNLISTED)
+        missing = list(islice(unlisted, 6))
         raise MissingPair(f"pairs never listed: {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    raise AssertionError("the lean parse rejected a valid file")
+    return bytes(codes)
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -32,6 +32,7 @@ from biramsey.model import (
     random_semicomplete,
     serialize_instance,
 )
+from biramsey import model
 from biramsey.heuristics import blue_edge_graph, one_way_graph, red_edge_graph
 from biramsey.solvers import (
     _color_adjacency,
@@ -447,6 +448,144 @@ def test_parse_matches_the_per_line_parser():
         "valid", "InvalidHeader", "MalformedLine", "BadState", "VertexOutOfRange",
         "DuplicatePair", "MissingPair", "short", "few", "many",
     }
+
+
+def _spellings(text, rng):
+    """Spellings of one canonical file: all but the trailing blank line
+    stay in the strict grammar."""
+    head, *body = text.splitlines()
+    shuffled = [body[i] for i in rng.permutation(len(body))]
+    padded = []
+    for line in body:
+        u, v, s = line.split()
+        padded.append(f"{int(u):03d} {int(v):03d} {s}")
+    return [
+        ("canonical", text),
+        ("shuffled", "\n".join([head, *shuffled]) + "\n"),
+        ("reversed", _reversed(text)),
+        ("leading zeros", "\n".join([head, *padded]) + "\n"),
+        ("no final newline", text[:-1]),
+        ("trailing blank line", text + "\n"),
+    ]
+
+
+@pytest.fixture
+def per_line_calls(monkeypatch):
+    """Counts the files that reach the per-line routine."""
+    calls = []
+    route = model._parse_lines
+    monkeypatch.setattr(model, "_parse_lines", lambda *args: calls.append(1) or route(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 100, 101])
+def test_parse_matches_the_per_line_parser_across_id_widths(n, per_line_calls):
+    # ids of one, two and three digits; the corpus above stops at n = 8
+    rng = np.random.default_rng(n)
+    for inst in (random_coloring(n, 5 * n + 1), random_semicomplete(n, 11 * n + 2)):
+        text = serialize_instance(inst)
+        for name, variant in _spellings(text, rng):
+            calls = len(per_line_calls)
+            assert parse_instance(variant) == _per_line_parse(variant) == inst, name
+            assert len(per_line_calls) - calls == (name == "trailing blank line"), name
+        for broken in _mutations(text):
+            with pytest.raises(InstanceFormatError) as expected:
+                _per_line_parse(broken)
+            with pytest.raises(type(expected.value)) as got:
+                parse_instance(broken)
+            assert str(got.value) == str(expected.value), broken
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InstanceFormatError as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_matches_the_per_line_parser_on_edited_files():
+    # one to three byte edits to strict files, drawn from the bytes the
+    # numpy pass tells apart: most land just outside the strict grammar
+    rng = np.random.default_rng(18)
+    alphabet = list(" \n\t\x0c\x00019RB<>-+#_")
+    bases = [serialize_instance(random_coloring(n, n)) for n in (3, 4, 11)]
+    bases += [serialize_instance(random_semicomplete(n, n)) for n in (3, 4, 11)]
+    for _ in range(3000):
+        text = list(bases[rng.integers(len(bases))])
+        for _ in range(rng.integers(1, 4)):
+            at, byte = rng.integers(len(text)), alphabet[rng.integers(len(alphabet))]
+            edit = rng.integers(3)
+            if edit == 0:
+                text.insert(at, byte)
+            elif edit == 1:
+                text[at] = byte
+            else:
+                del text[at]
+        text = "".join(text)
+        assert _outcome(parse_instance, text) == _outcome(_per_line_parse, text), repr(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "bichrome 3\n0 1 RB 2\n0 R\n1 2 R\n",  # right counts, LF out of place
+        "bichrome 3\n0 1 R\n0 2 RBB\n1 2 R\n",  # a 3-byte token
+        "semi 3\n0 1 >\n0 2 <\n1 2 \n",  # an empty last token
+        "semi 3\n0 1 >\n0 2 <\n1 2 <",  # a 1-byte token and no final LF
+        "semi 3\n0 1 >\n0\x0c2 <\n1 2 <\n",  # a form feed splits a line
+        "semi 3\n0 1 >\n 2 <\n1 2 <\n",  # an empty id
+        "semi " + "9" * 5000 + "\n",  # a vertex count int() refuses
+    ],
+)
+def test_parse_near_misses_of_the_strict_grammar(text):
+    assert _outcome(parse_instance, text) == _outcome(_per_line_parse, text)
+
+
+def test_canonical_files_never_reach_the_per_line_routine(per_line_calls):
+    for inst in (random_coloring(64, 1), random_semicomplete(64, 2)):
+        assert parse_instance(serialize_instance(inst)) == inst
+    assert not per_line_calls
+
+
+@pytest.mark.parametrize(
+    "big", ["999999999", "2147483649", "4294967297", "18446744073709551617", "9" * 23]
+)
+def test_parse_never_wraps_a_long_id(big, per_line_calls):
+    # the longest id the numpy pass reads, then 2^31 + 1, 2^32 + 1 and
+    # 2^64 + 1, which would read as small ids if they wrapped
+    for text in (f"semi 3\n0 {big} >\n0 2 >\n1 2 >\n", f"semi 3\n0 2 >\n1 2 >\n{big} 0 >\n"):
+        with pytest.raises(VertexOutOfRange) as expected:
+            _per_line_parse(text)
+        with pytest.raises(VertexOutOfRange) as got:
+            parse_instance(text)
+        assert str(got.value) == str(expected.value)
+        assert big in str(got.value)
+    assert per_line_calls
+
+
+def test_parse_reads_an_id_longer_than_the_numpy_pass_takes(per_line_calls):
+    text = "bichrome 3\n0000000000000 1 R\n0 2 B\n1 0000000000002 RB\n"
+    assert parse_instance(text) == _per_line_parse(text) == BicoloredGraph(3, b"\0\1\2")
+    assert per_line_calls
+
+
+@pytest.mark.parametrize("text", ["semi 1", "semi 1\n", "bichrome 1\n"])
+def test_parse_one_vertex_has_an_empty_body(text, per_line_calls):
+    assert parse_instance(text) == _per_line_parse(text)
+    assert parse_instance(text).codes == b""
+    assert not per_line_calls
+
+
+def test_parse_peak_memory_stays_near_the_text():
+    # the per-line split with its three Python lists peaked at about 10.9x
+    text = serialize_instance(random_coloring(600, 5))
+    tracemalloc.start()
+    try:
+        parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
 
 
 def test_pair_codes_follow_the_states():
