@@ -31,7 +31,8 @@ from . import bounds as bounds_mod
 from . import constructions as cons
 from .heuristics import mono_clique_trials, transitive_trials
 from .model import (
-    Instance, MonoCliqueWitness, Witness, pair_count, parse_instance, serialize_instance,
+    _INSTANCE_PAIR_CAP, Instance, MonoCliqueWitness, Witness, pair_count, parse_instance,
+    serialize_instance,
 )
 from .solvers import (
     DEFAULT_ORACLE_BUDGET,
@@ -43,9 +44,6 @@ from .solvers import (
 )
 
 DEFAULT_SEED = 0xB1C0
-# construct refuses instances with more pairs (n > 5793) before building:
-# every builder allocates per pair, so a huge --n would exhaust memory
-_CONSTRUCT_PAIR_CAP = 2**24
 
 __all__ = ["cli_main", "main", "DEFAULT_SEED"]
 
@@ -85,10 +83,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     stray = [f"--{key}" for key in _CONSTRUCT_OPTIONS if key in given and key not in params]
     if stray:
         raise ValueError(f"construct {name} does not take {', '.join(stray)}")
-    if pair_count(args.n) > _CONSTRUCT_PAIR_CAP:
+    if pair_count(args.n) > _INSTANCE_PAIR_CAP:
         raise ValueError(
             f"construct --n {args.n} has C(n,2)={pair_count(args.n)} pairs; "
-            f"cap is C(n,2) <= {_CONSTRUCT_PAIR_CAP}"
+            f"cap is C(n,2) <= {_INSTANCE_PAIR_CAP}"
         )
     options = {key: default for key, (_, default) in _CONSTRUCT_OPTIONS.items()} | given
     builder_args = {key: options[key] for key in params if key in options}

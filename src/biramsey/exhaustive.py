@@ -6,15 +6,16 @@ u -> v (ascending) and 0 when it runs v -> u.  Every labeled tournament
 has exactly one code.
 
 The scans grow tournaments one vertex at a time.  A tournament with no
-transitive k-subset (TT_k-free) stays TT_k-free when its last vertex is
-deleted (Reid & Parker), so the TT_k-free codes of order ``o`` are among
-the extensions of the TT_k-free codes of order ``o - 1`` by a new vertex
-o - 1 with each of its 2^(o - 1) arc patterns.  Only those candidates are
-scored; below order k every code is TT_k-free.  A code is already the
-forward pair mask of the worst-case oracle's digraph encoding (its
-complement is the backward mask), so candidates go through the oracle's
-subset dynamic program in blocks of ``solvers._ORACLE_BLOCK``, which keeps
-peak memory flat.  Order SCAN_ORDER_CAP + 1 is one more extension step.
+transitive k-subset (TT_k-free) stays TT_k-free when any vertex is deleted
+(Reid & Parker), so the TT_k-free codes of order ``o`` are among the
+extensions of the TT_k-free codes of order ``o - 1`` by a new vertex 0
+with each of its 2^(o - 1) arc patterns.  Vertex 0's pairs (0, v) come
+first in pair order, so a candidate is the base code shifted past them,
+``base << (o - 1)``, ORed with its arc pattern.  Only those candidates are
+scored; below order k every code is TT_k-free.  A code is the oracle's
+code-0 (forward) pair mask and its complement the code-1 one, so blocks of
+``solvers._ORACLE_BLOCK`` candidates go through the oracle's subset
+dynamic program, which keeps peak memory flat.
 
 These scans are an independent route to the same quantities as the
 branch-and-bound solvers; the test suite cross-checks the two.
@@ -26,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ArcState, SemicompleteDigraph, pair_count, pair_index
+from .model import ArcState, SemicompleteDigraph, pair_count
 from .solvers import _ORACLE_BLOCK, BudgetExceeded, _cell_instance, _transitive_sizes
 
 __all__ = [
@@ -67,26 +68,18 @@ def _check_scan_order(order: int, cap: int = SCAN_ORDER_CAP) -> None:
 
 
 def _free_extensions(base: np.ndarray, order: int, k: int) -> Iterator[np.ndarray]:
-    """TT_k-free codes of the given order whose first ``order - 1``
-    vertices span a tournament in ``base``, one array per block of
-    candidates (block-ordered, not sorted)."""
+    """TT_k-free codes of the given order whose vertices 1 .. order - 1
+    span a tournament in ``base``, one array per block of candidates
+    (block-ordered, not sorted)."""
     full_mask = (1 << pair_count(order)) - 1
     full = np.min_scalar_type(full_mask).type(full_mask)
-    new = order - 1
-    # pairs (u, v), v < new, keep their lexicographic order; u's run of
-    # pairs moves up by the u new pairs (w, new), w < u, placed before it
-    base = base.astype(full.dtype)
-    spread = np.zeros_like(base)
-    for u in range(new - 1):
-        run = ((1 << (new - 1 - u)) - 1) << pair_index(u, u + 1, new)
-        spread |= (base & run) << u
-    # pattern bit u set means arc u -> new vertex, else the reverse
-    arcs = np.zeros(1, dtype=full.dtype)
-    for u in range(new):
-        arcs = np.concatenate([arcs, arcs | full.dtype.type(1 << pair_index(u, new, order))])
+    new = order - 1  # pairs (0, v) of the new vertex 0, first in pair order
+    base = base.astype(full.dtype) << new
+    # pattern bit v - 1 set means arc 0 -> v, else the reverse
+    arcs = np.arange(1 << new, dtype=full.dtype)
     rows = max(1, _ORACLE_BLOCK >> new)
-    for lo in range(0, len(spread), rows):
-        codes = (spread[lo : lo + rows, None] | arcs).ravel()
+    for lo in range(0, len(base), rows):
+        codes = (base[lo : lo + rows, None] | arcs).ravel()
         yield codes[_transitive_sizes(order, codes, codes ^ full, k) < k]
 
 
@@ -122,18 +115,16 @@ def every_tournament_contains_tt(order: int, k: int) -> bool:
     """Exhaustively decide whether every tournament of the given order has a
     transitive k-subset.
 
-    Order SCAN_ORDER_CAP + 1 is one more extension step: the 2^(order - 1)
-    arc patterns of a last vertex over each TT_k-free tournament of order
-    SCAN_ORDER_CAP.  Each block of those is extended as soon as it is found,
-    and the scan stops at the first TT_k-free survivor.  This covers all
-    2^C(order, 2) tournaments without enumerating them.
+    The last two orders stream: each block of TT_k-free codes of order
+    ``order - 1`` is extended by every arc pattern of a new vertex as soon as
+    it is found, and the scan stops at the first TT_k-free survivor.  At
+    order SCAN_ORDER_CAP + 1 this covers all 2^C(order, 2) tournaments
+    without enumerating them.
     """
     _check_scan_order(order, SCAN_ORDER_CAP + 1)
     if k <= 2:
         return order >= k
     if order < k:
         return False
-    if order <= SCAN_ORDER_CAP:
-        return tt_free_tournament_codes(order, k).size == 0
     bases = _free_extensions(tt_free_tournament_codes(order - 2, k), order - 1, k)
     return not any(block.size for base in bases for block in _free_extensions(base, order, k))

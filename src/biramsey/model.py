@@ -373,6 +373,9 @@ class MissingPair(InstanceFormatError):
 
 
 _FAMILIES = {cls.FAMILY: cls for cls in (BicoloredGraph, SemicompleteDigraph)}
+# instances with more pairs (n > 5793) are refused before anything
+# pair-sized is parsed or built: every step allocates per pair
+_INSTANCE_PAIR_CAP = 2**24
 _CODE_BY_TOKEN = {
     family: {state.token: code for code, state in enumerate(cls._STATES)}
     for family, cls in _FAMILIES.items()
@@ -385,7 +388,8 @@ def parse_instance(text: str) -> Instance:
     Raises a subclass of :class:`InstanceFormatError` naming the offending
     line: :class:`MissingPair`, :class:`DuplicatePair`, :class:`BadState`,
     :class:`VertexOutOfRange`, plus :class:`InvalidHeader` and
-    :class:`MalformedLine` for structural problems.
+    :class:`MalformedLine` for structural problems, such as a header n with
+    more than 2^24 pairs (n > 5793), refused before anything pair-sized.
 
     A file in the strict grammar that serialization writes (ASCII, header on
     line 1, no comments, each pair line exactly ``u SP v SP S LF``, the last
@@ -417,13 +421,22 @@ def _parse_header(lines: list[str]) -> tuple[int, str, int]:
             n = int(tokens[1])
         except ValueError:
             raise InvalidHeader("vertex count is not an integer", line_no, raw)
-        if n < 1:
-            raise InvalidHeader("vertex count must be at least 1", line_no, raw)
+        _check_vertex_count(n, line_no, raw)
         unlisted = pair_count(n) - (len(lines) - line_no)
         if unlisted > 0:  # caught before C(n, 2) slots are allocated
             raise MissingPair(f"at least {unlisted} pairs never listed", line_no, raw)
         return line_no, tokens[0], n
     raise InvalidHeader("empty input: missing header line")
+
+
+def _check_vertex_count(n: int, line_no: int, raw: str) -> None:
+    """Refuse a header's n below 1 or over the instance size cap."""
+    if n < 1:
+        raise InvalidHeader("vertex count must be at least 1", line_no, raw)
+    if pair_count(n) > _INSTANCE_PAIR_CAP:  # C(n, 2) may be too long to print
+        raise InvalidHeader(
+            f"vertex count is over the cap C(n,2) <= {_INSTANCE_PAIR_CAP}", line_no, raw
+        )
 
 
 def _code_by_key(family: str) -> np.ndarray:
@@ -443,7 +456,8 @@ _MAX_ID_DIGITS = 9  # below 2^31, so an id never wraps in int32
 
 def _parse_strict(text: str) -> "tuple[str, int, bytes] | None":
     """Family, n and pair codes of a valid file in the strict grammar, or
-    None for any other file.
+    None for any other file; a header's n out of range raises at once, as
+    on the per-line route.
 
     The body's spaces and LFs are located with numpy, 3 per line; the state
     token after the second space is read as a 2-byte key, every other body
@@ -459,17 +473,18 @@ def _parse_strict(text: str) -> "tuple[str, int, bytes] | None":
     if not data.endswith(b"\n"):
         data += b"\n"
     start = data.index(b"\n") + 1
-    head = data[: start - 1].split(b" ")
-    if len(head) != 2 or not head[1].isdigit():
+    header = data[: start - 1].decode()
+    family, *count = header.split(" ")
+    if family not in _FAMILIES or len(count) != 1 or not count[0].isdigit():
         return None
-    family = head[0].decode()
     try:
-        n = int(head[1])
+        n = int(count[0])
     except ValueError:  # more digits than int() takes
         return None
+    _check_vertex_count(n, 1, header)
     pairs = pair_count(n)
     body = np.frombuffer(data, dtype=np.uint8, offset=start)
-    if family not in _FAMILIES or n < 1 or np.count_nonzero(body == ord("\n")) != pairs:
+    if np.count_nonzero(body == ord("\n")) != pairs:
         return None
     if not pairs:
         return family, n, b""

@@ -11,8 +11,9 @@
 * :func:`brute_force_f` / :func:`brute_force_F` - the worst-case values
   f(n, m) and F(n, m): minimum over every placement of m unicolored /
   one-way pairs and every color / orientation assignment of the maximum
-  substructure, at tiny n.  A numpy scan scores blocks of instances held
-  as pair bitmasks, independent of the branch-and-bound searches.
+  substructure, at tiny n.  A numpy scan, independent of the
+  branch-and-bound searches, scores blocks of instances held as the pair
+  bitmasks of codes 0 and 1, as are the tournaments of ``exhaustive``.
 
 All searches are deterministic; ties between optimal witnesses break to
 the lexicographically smallest vertex set (and red before blue), so
@@ -206,7 +207,7 @@ def _color_adjacency(graph: BicoloredGraph, color: EdgeColor) -> list[int]:
     return _pair_masks(graph.n, edges, edges)
 
 
-def max_mono_clique(graph: BicoloredGraph, size_cap: int = CLIQUE_SIZE_CAP) -> SolveResult:
+def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
     """Largest monochromatic clique over both colors.
 
     Ties break to larger size, then red over blue, then the
@@ -214,8 +215,8 @@ def max_mono_clique(graph: BicoloredGraph, size_cap: int = CLIQUE_SIZE_CAP) -> S
     maximisation: blue runs against a floor of red's size, which it has to
     beat to win.
     """
-    if graph.n > size_cap:
-        raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {size_cap}")
+    if graph.n > CLIQUE_SIZE_CAP:
+        raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {CLIQUE_SIZE_CAP}")
     red = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.RED))
     blue = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.BLUE))
     red_size = red.max_size()
@@ -495,9 +496,7 @@ def _topological_order(vertices: tuple[int, ...], out: list[int]) -> tuple[int, 
     return tuple(order)
 
 
-def max_transitive_set(
-    digraph: SemicompleteDigraph, size_cap: int = TRANSITIVE_SIZE_CAP
-) -> SolveResult:
+def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     """Largest vertex set whose induced one-way arcs form a DAG.
 
     The witness carries a topological order of the chosen set (bioriented
@@ -514,8 +513,8 @@ def max_transitive_set(
     n = 32, uniform random semicomplete digraphs 0.15-0.3 s at n = 32,
     0.6-1.0 s at n = 36 and 1.7-2.3 s at the cap, n = 40.
     """
-    if digraph.n > size_cap:
-        raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {size_cap}")
+    if digraph.n > TRANSITIVE_SIZE_CAP:
+        raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}")
     out = _one_way_out_masks(digraph)
     solver = _AcyclicSolver(digraph.n, out)
     chosen = 0
@@ -624,9 +623,9 @@ def max_transitive_set_by_enumeration(digraph: SemicompleteDigraph) -> int:
 # A cell (n, m) is scanned in one fixed order: placements of the m unicolored
 # (one-way) pairs in lexicographic order, and for each placement every
 # assignment code 0 .. 2^m - 1 ascending, code bit b deciding the b-th placed
-# pair (1 = red / forward, 0 = blue / backward).  Each instance is held as
-# two pair bitmasks, (red, blue) or (forward, backward), and whole blocks of
-# instances are scored by one numpy pass.
+# pair (1 = red / forward, 0 = blue / backward).  In both families an
+# instance is held as the pair bitmasks of ``model``'s codes 0 (red / forward)
+# and 1 (blue / backward), and whole blocks are scored by one numpy pass.
 
 _ORACLE_PAIR_CAP = 15  # C(n,2) cap for exhaustive enumeration
 _ORACLE_BLOCK = 1 << 16  # instances per numpy pass; keeps peak memory flat
@@ -660,19 +659,15 @@ def _check_oracle_pre(n: int, m: int, budget: int) -> None:
         )
 
 
-def _block_masks(
-    family: str, positions: np.ndarray, full: np.generic
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair bitmasks of every instance of the placements in ``positions``
-    (one row of pair indices each), flattened in (placement, code) order:
-    (red, blue) for colorings, (forward, backward) for digraphs."""
-    bits = (1 << positions).astype(full.dtype)
+def _block_masks(positions: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Pair bitmasks of code 0 (red / forward) and code 1 (blue / backward)
+    of every instance of the placements in ``positions`` (one row of pair
+    indices each), flattened in (placement, code) order."""
+    bits = (1 << positions).astype(dtype)
     placed = np.bitwise_or.reduce(bits, axis=1, keepdims=True)
-    assigned = np.zeros((len(positions), 1), dtype=full.dtype)  # placed pairs with code bit 1
+    assigned = np.zeros((len(positions), 1), dtype=dtype)  # placed pairs with code bit 1
     for b in range(positions.shape[1]):
         assigned = np.concatenate([assigned, assigned | bits[:, b : b + 1]], axis=1)
-    if family == "coloring":
-        return ((full ^ placed) | assigned).ravel(), (full ^ assigned).ravel()
     return assigned.ravel(), (placed ^ assigned).ravel()
 
 
@@ -681,20 +676,21 @@ def _mono_clique_sizes(n: int, red: np.ndarray, blue: np.ndarray, cap: int) -> n
     a size of ``cap`` or more reads as ``cap`` (sizes up to 2 are always
     exact).
 
-    A vertex set S is a red clique iff red covers its pair mask P_S.  Every
-    pair lies in red or blue, and cliques are hereditary, so the size is 2
-    plus the number of orders k >= 3 with some monochromatic k-set.
+    A vertex set S is a red (blue) clique iff its pair mask P_S misses
+    ``blue`` (``red``), the pairs of that color only.  Every pair carries
+    red or blue, and cliques are hereditary, so the size is 2 plus the
+    number of orders k >= 3 with some monochromatic k-set.
     """
     sizes = np.full(len(red), min(n, 2), dtype=np.int8)
-    covered = np.empty_like(red)
+    inside = np.empty_like(red)
     hit = np.empty(len(red), dtype=bool)
     for k in range(3, min(n, cap) + 1):
         found = np.zeros(len(red), dtype=bool)
         for subset in combinations(range(n), k):
             mask = sum(1 << pair_index(u, v, n) for u, v in combinations(subset, 2))
             for color in (red, blue):
-                np.bitwise_and(color, mask, out=covered)
-                np.equal(covered, mask, out=hit)
+                np.bitwise_and(color, mask, out=inside)
+                np.equal(inside, 0, out=hit)
                 found |= hit
         if not found.any():
             break
@@ -777,12 +773,11 @@ def oracle_cell_slice(
     if not placements:
         raise ValueError(f"placement slice [{start}, {stop}) of cell (n={n}, m={m}) is empty")
     positions = np.array(placements, dtype=np.int64).reshape(len(placements), m)
-    full_mask = (1 << pair_count(n)) - 1
-    full = np.min_scalar_type(full_mask).type(full_mask)
+    dtype = np.min_scalar_type((1 << pair_count(n)) - 1)
     per_block = max(1, _ORACLE_BLOCK >> m)
     best, best_index = n + 1, -1
     for lo in range(0, len(placements), per_block):
-        first, second = _block_masks(family, positions[lo : lo + per_block], full)
+        first, second = _block_masks(positions[lo : lo + per_block], dtype)
         sizes = _SCORERS[family](n, first, second, best)
         i = int(sizes.argmin())
         if sizes[i] < best:

@@ -254,6 +254,14 @@ def test_atlas_reports_every_violated_check(monkeypatch):
     assert err == f"# violations={len(labels)}\n"
 
 
+def test_solve_refuses_a_header_over_the_pair_cap(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("semi 5794\n")
+    code, out, err = run_cli(["solve", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: vertex count is over the cap C(n,2) <= 16777216 ('semi 5794')\n"
+
+
 def test_construct_refuses_a_huge_n_before_building(tmp_path):
     # C(n, 2) above 2^24 exits 2 before any builder allocates per pair
     import tracemalloc

@@ -116,6 +116,13 @@ def test_every_tournament_contains_tt():
     ]
 
 
+@pytest.mark.parametrize(
+    "order, k", [(order, k) for order in range(1, 8) for k in range(1, order + 2)]
+)
+def test_every_tournament_contains_tt_matches_full_scan(order, k):
+    assert every_tournament_contains_tt(order, k) == (_full_scan_sizes(order).min() >= k)
+
+
 def test_order_8_extends_order_7_blocks_as_they_come(monkeypatch):
     # building the whole TT_5-free order-7 set first scores 1,347,840
     # candidates; extending its first block at once stops far sooner

@@ -217,6 +217,34 @@ def test_parse_rejects_a_short_file_before_allocating_pairs():
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["semi 5794\n", "# c\nsemi 5794\n", "bichrome 5794", "semi " + "9" * 4000 + "\n"],
+    ids=["numpy-route", "per-line-route", "no-final-lf", "4000-digits"],
+)
+def test_parse_refuses_a_header_over_the_pair_cap_before_allocating_pairs(text):
+    # C(n, 2) > 2^24 is refused by the header on both routes, and the
+    # message prints no pair count (8000 digits for a 4000-digit n)
+    import tracemalloc
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidHeader) as info:
+            parse_instance(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 1 << 16
+    assert "vertex count is over the cap C(n,2) <= 16777216" in str(info.value)
+
+
+def test_parse_keeps_the_largest_n_under_the_pair_cap():
+    with pytest.raises(MissingPair):
+        parse_instance("semi 5793\n")
+
+
+@pytest.mark.parametrize(
     "text,message",
     [
         # C(300, 2) comment lines pass the early check; every pair is missing

@@ -21,10 +21,15 @@ from biramsey.model import (
     random_coloring,
     random_semicomplete,
 )
+from biramsey import solvers
 from biramsey.solvers import (
+    CLIQUE_SIZE_CAP,
+    TRANSITIVE_SIZE_CAP,
     BudgetExceeded,
     KindMismatch,
     SizeLimitExceeded,
+    _block_masks,
+    _cell_instance,
     _check_oracle_pre,
     _mono_clique_sizes,
     _transitive_sizes,
@@ -274,27 +279,38 @@ def _small_instances(draw, kind):
     return kind(n, bytes(codes))
 
 
-def _block_score(instance, scorer, first_codes, second_codes):
-    """The oracle's block scorer on the one instance, held as the two pair
-    bitmasks of the codes in ``first_codes`` and ``second_codes``."""
-    codes = list(instance.codes)
-    dtype = np.min_scalar_type((1 << len(codes)) - 1)
-    first, second = (
-        np.array([sum(1 << p for p, c in enumerate(codes) if c in chosen)], dtype=dtype)
-        for chosen in (first_codes, second_codes)
-    )
-    return int(scorer(instance.n, first, second, instance.n)[0])
+def _code_mask(instance, code):
+    """Pair bitmask of the pairs of ``instance`` holding ``code``."""
+    return sum(1 << p for p, c in enumerate(instance.codes) if c == code)
+
+
+def _block_score(instance, scorer):
+    """The oracle's block scorer on the one instance, held as its code-0 and
+    code-1 pair bitmasks."""
+    dtype = np.min_scalar_type((1 << pair_count(instance.n)) - 1)
+    zero, one = (np.array([_code_mask(instance, code)], dtype=dtype) for code in (0, 1))
+    return int(scorer(instance.n, zero, one, instance.n)[0])
+
+
+@pytest.mark.parametrize("family", ["coloring", "digraph"])
+@pytest.mark.parametrize("n, m", [(4, m) for m in range(4)] + [(5, 2)])
+def test_block_masks_row_i_holds_instance_i_of_the_cell(n, m, family):
+    placements = list(combinations(range(pair_count(n)), m))
+    positions = np.array(placements, dtype=np.int64).reshape(len(placements), m)
+    zero, one = _block_masks(positions, np.min_scalar_type((1 << pair_count(n)) - 1))
+    assert len(zero) == len(one) == len(placements) << m
+    for i in range(len(zero)):
+        row, code = divmod(i, 1 << m)
+        instance = _cell_instance(n, family, placements[row], code)
+        assert (int(zero[i]), int(one[i])) == (_code_mask(instance, 0), _code_mask(instance, 1))
 
 
 @settings(max_examples=120, deadline=None)
 @given(_small_instances(BicoloredGraph))
 def test_clique_solver_matches_enumeration_block_scorer_and_lex_min(g):
-    both = EdgeColor.RED_BLUE.code
     res = max_mono_clique(g)
     assert res.size == max_mono_clique_by_enumeration(g)
-    assert res.size == _block_score(
-        g, _mono_clique_sizes, (EdgeColor.RED.code, both), (EdgeColor.BLUE.code, both)
-    )
+    assert res.size == _block_score(g, _mono_clique_sizes)
     assert (res.witness.color, res.witness.vertices) == _lex_min_mono_clique(g, res.size)
 
 
@@ -303,9 +319,7 @@ def test_clique_solver_matches_enumeration_block_scorer_and_lex_min(g):
 def test_transitive_solver_matches_enumeration_block_scorer_and_lex_min(d):
     res = max_transitive_set(d)
     assert res.size == max_transitive_set_by_enumeration(d)
-    assert res.size == _block_score(
-        d, _transitive_sizes, (ArcState.FORWARD.code,), (ArcState.BACKWARD.code,)
-    )
+    assert res.size == _block_score(d, _transitive_sizes)
     assert res.witness.vertices == _lex_min_acyclic_optimum(d)
     assert verify_witness(d, res.witness)
 
@@ -318,13 +332,18 @@ def test_clique_of_the_mapped_coloring_is_at_most_the_transitive_set(d):
     assert max_mono_clique(digraph_to_coloring(d)).size <= max_transitive_set(d).size
 
 
-def test_size_caps():
-    g = BicoloredGraph(3, bytes([EdgeColor.RED.code]) * 3)
-    with pytest.raises(SizeLimitExceeded):
-        max_mono_clique(g, size_cap=2)
-    d = SemicompleteDigraph(3, bytes([ArcState.BIORIENTED.code]) * 3)
-    with pytest.raises(SizeLimitExceeded):
-        max_transitive_set(d, size_cap=2)
+def test_size_caps(monkeypatch):
+    # one vertex over each cap is refused before any search starts
+    monkeypatch.setattr(solvers, "_CliqueSolver", None)
+    monkeypatch.setattr(solvers, "_AcyclicSolver", None)
+    n = CLIQUE_SIZE_CAP + 1
+    g = BicoloredGraph(n, bytes([EdgeColor.RED.code]) * pair_count(n))
+    with pytest.raises(SizeLimitExceeded, match=f"n={n} exceeds clique solver cap"):
+        max_mono_clique(g)
+    n = TRANSITIVE_SIZE_CAP + 1
+    d = SemicompleteDigraph(n, bytes([ArcState.BIORIENTED.code]) * pair_count(n))
+    with pytest.raises(SizeLimitExceeded, match=f"n={n} exceeds transitive solver cap"):
+        max_transitive_set(d)
 
 
 # --- witness checking --------------------------------------------------------
