@@ -83,11 +83,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     stray = [f"--{key}" for key in _CONSTRUCT_OPTIONS if key in given and key not in params]
     if stray:
         raise ValueError(f"construct {name} does not take {', '.join(stray)}")
-    if pair_count(args.n) > _INSTANCE_PAIR_CAP:
-        raise ValueError(
-            f"construct --n {args.n} has C(n,2)={pair_count(args.n)} pairs; "
-            f"cap is C(n,2) <= {_INSTANCE_PAIR_CAP}"
-        )
+    if pair_count(args.n) > _INSTANCE_PAIR_CAP:  # n and C(n, 2) may be too long to print
+        raise ValueError(f"construct --n is too large; cap is C(n,2) <= {_INSTANCE_PAIR_CAP}")
     options = {key: default for key, (_, default) in _CONSTRUCT_OPTIONS.items()} | given
     builder_args = {key: options[key] for key in params if key in options}
     cert = cons.BUILDERS[name](**builder_args)

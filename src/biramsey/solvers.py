@@ -2,7 +2,11 @@
 
 * :func:`max_mono_clique` - largest clique that is monochromatic in one
   color, over both colors (bicolored pairs belong to both), by a bitset
-  branch and bound on the vertex labels as given.
+  branch and bound on the vertex labels as given.  Besides its
+  greedy-coloring bound it has one reduction: a candidate v that misses
+  at most one other candidate u is taken without branching, because a
+  maximum clique without v holds u, and swapping u for v keeps it a
+  maximum clique.
 * :func:`max_transitive_set` - largest vertex set whose induced one-way
   arcs are acyclic; equivalently n minus a minimum directed feedback
   vertex set of the one-way digraph.  Its strongly connected components
@@ -139,11 +143,25 @@ def _lex_min_subset(vertices: int, target: int, extends: Callable[[int, int], bo
 
 class _CliqueSolver:
     """Max-clique searches over one adjacency relation, on its vertex labels
-    as given, with a node counter."""
+    as given, with a node counter.
+
+    Bitset branch and bound with a greedy-coloring bound, plus one
+    reduction: a candidate v that misses at most one other candidate u lies
+    in some maximum clique of the candidates, so it is taken without
+    branching.  (A maximum clique K without v holds u, or K + v would be
+    larger, and then K - u + v is a clique of the same size.)  The test is
+    made on each vertex the search is about to branch on; where it holds,
+    one pass over the candidates takes every vertex that qualifies, and the
+    node colors what is left.  Where no branch vertex qualifies, the
+    reduction costs one test per branch.
+    """
 
     def __init__(self, n: int, adj: list[int]):
         self.n = n
         self.adj = adj
+        # the non-neighbours of each vertex but itself, as negative ints: an
+        # AND with one drops the vertex and its neighbours
+        self.non = [~(a | 1 << v) for v, a in enumerate(adj)]
         self.nodes = 0
 
     def max_size(
@@ -165,39 +183,66 @@ class _CliqueSolver:
 
     def _expand(self, cand: int, size: int) -> None:
         self.nodes += 1
-        adj = self.adj
-        # greedy coloring: vertices listed with nondecreasing class number;
-        # a class no larger than _best - size is never branched on (_best
-        # only grows), so its vertices are not listed
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
+        adj, non = self.adj, self.non
+        while True:
+            # greedy coloring: vertices listed with nondecreasing class
+            # number; a class no larger than _best - size is never branched
+            # on (_best only grows), so its vertices are not listed
+            order: list[int] = []
+            bounds: list[int] = []
+            color = 0
+            rest = cand
+            while rest:
+                color += 1
+                listed = size + color > self._best
+                avail = rest
+                while avail:
+                    bit = avail & -avail
+                    v = bit.bit_length() - 1
+                    avail &= non[v]
+                    rest ^= bit
+                    if listed:
+                        order.append(v)
+                        bounds.append(color)
+            for i in range(len(order) - 1, -1, -1):
+                if size + bounds[i] <= self._best:
+                    return
+                v = order[i]
+                missed = cand & non[v]
+                if not missed & (missed - 1):
+                    cand, size = self._take_forced(cand, size)
+                    if size > self._best:
+                        self._best = size
+                    if not cand or self._best >= self._ceiling:
+                        return
+                    break  # color what is left
+                nxt = cand & adj[v]
+                if size + 1 > self._best:
+                    self._best = size + 1
+                if nxt:
+                    self._expand(nxt, size + 1)
+                if self._best >= self._ceiling:
+                    return
+                cand ^= 1 << v
+            else:
+                return
+
+    def _take_forced(self, cand: int, size: int) -> tuple[int, int]:
+        """One ascending pass over ``cand`` that takes each vertex missing at
+        most one other candidate; each is tested on the candidates left
+        after the takes before it."""
+        adj, non = self.adj, self.non
         rest = cand
         while rest:
-            color += 1
-            listed = size + color > self._best
-            avail = rest
-            while avail:
-                bit = avail & -avail
-                v = bit.bit_length() - 1
-                avail &= ~adj[v]
-                avail ^= bit
-                rest ^= bit
-                if listed:
-                    order.append(v)
-                    bounds.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= self._best:
-                return
-            v = order[i]
-            nxt = cand & adj[v]
-            if size + 1 > self._best:
-                self._best = size + 1
-            if nxt:
-                self._expand(nxt, size + 1)
-            if self._best >= self._ceiling:
-                return
-            cand ^= 1 << v
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            missed = cand & non[v]
+            if not missed & (missed - 1):
+                size += 1
+                cand &= adj[v]
+                rest &= cand
+        return cand, size
 
 
 def _color_adjacency(graph: BicoloredGraph, color: EdgeColor) -> list[int]:

@@ -285,6 +285,17 @@ def test_construct_refuses_a_huge_n_before_building(tmp_path):
     assert not out_dir.exists()
 
 
+def test_construct_refuses_an_n_too_long_to_print(tmp_path):
+    # C(n, 2) of a 4000-digit n has about 8000 digits, over Python's limit
+    # for int-to-str conversion, so the refusal names the cap, not the count
+    out_dir = tmp_path / "out"
+    argv = ["construct", "matching", "--n", "9" * 4000, "--m", "0", "--out", str(out_dir)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: construct --n is too large; cap is C(n,2) <= 16777216\n"
+    assert not out_dir.exists()
+
+
 def test_blowup_refuses_an_oversized_class_before_drawing(tmp_path, monkeypatch):
     def no_draw(*args):
         raise AssertionError("a class tournament was drawn")

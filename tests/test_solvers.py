@@ -272,10 +272,11 @@ def test_transitive_witness_vertex_set_is_lex_min_among_optima(sparse_semicomple
 
 
 @st.composite
-def _small_instances(draw, kind):
-    """Instances of ``kind`` with n <= 8 and any pair codes."""
-    n = draw(st.integers(1, 8))
-    codes = draw(st.lists(st.integers(0, 2), min_size=pair_count(n), max_size=pair_count(n)))
+def _small_instances(draw, kind, n_max=8, code=st.integers(0, 2)):
+    """Instances of ``kind`` with n <= ``n_max``, each pair code drawn from
+    ``code`` (by default any code)."""
+    n = draw(st.integers(1, n_max))
+    codes = draw(st.lists(code, min_size=pair_count(n), max_size=pair_count(n)))
     return kind(n, bytes(codes))
 
 
@@ -312,6 +313,35 @@ def test_clique_solver_matches_enumeration_block_scorer_and_lex_min(g):
     assert res.size == max_mono_clique_by_enumeration(g)
     assert res.size == _block_score(g, _mono_clique_sizes)
     assert (res.witness.color, res.witness.vertices) == _lex_min_mono_clique(g, res.size)
+
+
+# about four pairs in five bicolored: both color graphs are nearly complete,
+# where the clique search takes candidates that miss at most one other
+# without branching
+_MOSTLY_BICOLORED = st.integers(0, 9).map(lambda x: min(x, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_instances(BicoloredGraph, 9, _MOSTLY_BICOLORED))
+def test_clique_solver_on_nearly_complete_colorings(g):
+    res = max_mono_clique(g)
+    assert res.size == max_mono_clique_by_enumeration(g)
+    assert res.size == _block_score(g, _mono_clique_sizes)
+    assert (res.witness.color, res.witness.vertices) == _lex_min_mono_clique(g, res.size)
+
+
+def test_clique_reduction_alone_reaches_the_ceiling():
+    # K6 minus the perfect matching {0,1}, {2,3}, {4,5}: every vertex misses
+    # exactly one other, so the root takes 0, 2 and 4 without branching and
+    # stops at the ceiling of 3 (three color classes) in one node
+    from biramsey.solvers import _CliqueSolver
+
+    full = (1 << 6) - 1
+    adj = [full & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(6)]
+    for candidates, floor in ((None, 0), (full, 2), (full & ~1, 2)):
+        solver = _CliqueSolver(6, adj)
+        assert solver.max_size(candidates, floor, 3) == 3
+        assert solver.nodes == 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -467,11 +497,33 @@ def test_node_counts_stay_modest_on_structured_instances(
     assert r.nodes_explored < 1_500
     # 9727 and 2994 nodes when blue and every clique extraction step were
     # full maximisations from 0; with the floors and ceilings, 3943 and 1059
-    # on degeneracy-relabeled vertices, and 900 and 813 on the given labels
+    # on degeneracy-relabeled vertices, and 900 and 813 on the given labels;
+    # 177 and 727 since a candidate that misses at most one other is taken
+    # without branching
     r = max_mono_clique(sparse_colorings_64[256])
-    assert r.nodes_explored < 1_100
+    assert r.nodes_explored < 360
     r = max_mono_clique(sparse_colorings_64[1024])
     assert r.nodes_explored < 1_000
+
+
+@pytest.mark.parametrize(
+    "m, size, vertices, color",
+    [
+        (64, 49, (0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 21, 22, 23,
+                  24, 28, 30, 31, 32, 34, 35, 36, 38, 39, 40, 42, 45, 46, 47, 48, 50, 51, 52,
+                  54, 55, 56, 57, 58, 59, 60, 61, 62), EdgeColor.RED),
+        (512, 21, (0, 3, 4, 6, 8, 13, 16, 20, 22, 25, 26, 27, 30, 31, 36, 41, 47, 54, 57, 59,
+                   63), EdgeColor.RED),
+        (2016, 9, (9, 17, 21, 23, 26, 31, 33, 34, 48), EdgeColor.BLUE),
+    ],
+)
+def test_n64_clique_witness_is_pinned(sparse_coloring, m, size, vertices, color):
+    # the lex-min witness of seeded n = 64 colorings from nearly complete to
+    # all unicolored; a reduction or bound that changes it is a bug.  Node
+    # counts 1227, 2421 and 288 when every node branched; 51, 1448 and 259
+    # since a candidate that misses at most one other is taken outright
+    r = max_mono_clique(sparse_coloring(64, m, np.random.default_rng(0)))
+    assert (r.size, r.witness.vertices, r.witness.color) == (size, vertices, color)
 
 
 def test_random_semicomplete_32_witness_is_pinned():
