@@ -37,8 +37,7 @@ from .heuristics import (
     TrialStats,
     aks_run,
     caro_wei_run,
-    expectation_aks,
-    expectation_caro_wei,
+    expected_run_size,
 )
 from .constructions import (
     ConstructionCert,
@@ -88,8 +87,7 @@ __all__ = [
     "TrialStats",
     "aks_run",
     "caro_wei_run",
-    "expectation_aks",
-    "expectation_caro_wei",
+    "expected_run_size",
     "ConstructionCert",
     "ExtremalTournament",
     "blowup",

@@ -9,6 +9,7 @@ destined for human-readable reports are 64-bit floats and flagged as such.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -36,6 +37,13 @@ __all__ = [
 # rational over-approximation of Euler's e; rounding up only strengthens
 # the certified condition
 EULER_UPPER = Fraction(27183, 10000)
+
+# local-lemma work caps: lll_threshold(2^128) takes about 0.2 s on one x86
+# core, and the time grows steeply with n.  k is capped at the
+# Erdos-Moser ceiling floor(2*log2 n) + 1 at the n cap; no threshold search
+# below the cap reaches it.
+_LLL_N_CAP = 2**128
+_LLL_K_CAP = 2 * 128 + 1
 
 
 class ParameterOutOfRange(ValueError):
@@ -138,6 +146,8 @@ def blowup_bound(p: "Fraction | float | int", n: int) -> BoundReport:
         raise ParameterOutOfRange(f"density p={p} outside (0, 1)")
     if n < 2:
         raise ParameterOutOfRange("need n >= 2")
+    if n > sys.float_info.max:  # n / t would overflow the float division
+        raise ParameterOutOfRange("the blow-up bound needs n within float range")
     t = math.ceil(1 / (1 - p))
     value = 2 * t * math.log2(n / t)
     return BoundReport(
@@ -259,6 +269,13 @@ class LocalLemmaCheck:
         return self.ratio < Fraction(1, 6)
 
 
+def _check_lll_n(n: int) -> None:
+    if n < 55:
+        raise ParameterOutOfRange("local lemma evaluated only for n >= 55")
+    if n > _LLL_N_CAP:  # not printed: n may be too long for a decimal string
+        raise ParameterOutOfRange("n above the local-lemma cap 2^128")
+
+
 def lll_condition(n: int, k: int) -> LocalLemmaCheck:
     """Evaluate the local-lemma condition certifying that a random
     tournament avoids transitive k-subsets with positive probability.
@@ -267,8 +284,9 @@ def lll_condition(n: int, k: int) -> LocalLemmaCheck:
     depends on at most C(k,2) * C(n-k, k-2) / (1 - ratio) others, with
     ratio = (k-2)^2 / (3(n - 2k + 3)).  All quantities are exact rationals.
     """
-    if n < 55:
-        raise ParameterOutOfRange("condition evaluated only for n >= 55")
+    _check_lll_n(n)
+    if k > _LLL_K_CAP:  # 2^C(k, 2) alone would take k^2 / 16 bytes
+        raise ParameterOutOfRange(f"k above the local-lemma cap {_LLL_K_CAP}")
     if not (4 < k and k * k < n):
         raise ParameterOutOfRange(f"need 4 < k < sqrt(n), got k={k}, n={n}")
     probability = Fraction(factorial(k), 2 ** comb(k, 2))
@@ -290,8 +308,7 @@ def lll_threshold(n: int) -> BoundReport:
     in range satisfies the condition the report carries value None and
     ``feasible: False`` rather than failing.
     """
-    if n < 55:
-        raise ParameterOutOfRange("threshold evaluated only for n >= 55")
+    _check_lll_n(n)
     comparison = 2 * math.log2(n) - 1
     k = 5
     while k * k < n:

@@ -4,15 +4,12 @@ Subcommands: construct | solve | oracle | lowerbound | bound | verify |
 atlas.  All results go to standard output in plain text or CSV; standard
 error carries only errors and atlas's ``# violations=`` line.  A fixed
 default seed makes bare invocations reproducible.  The oracle scans a cell
-in one process in a fixed (placement, assignment code) order, so output is
-byte-identical whatever --threads says (accepted for compatibility).  Exit
-codes: 0 success, 1 a certificate claim failed, 2 a usage or input error
-(an ``OSError`` or a ``ValueError``, which every library input error
-subclasses).  The argument parser is built once per process, on first use.
-
-The environment variable RAMSEY_BUDGET sets the enumeration budget of
-oracle and atlas (number of enumerated instances per cell) when --budget
-is not given.
+in one process in a fixed (placement, assignment code) order, so its output
+is byte-identical from run to run; --budget caps the instances it
+enumerates per cell.  Exit codes: 0 success, 1 a certificate claim failed,
+2 a usage or input error (an ``OSError`` or a ``ValueError``, which every
+library input error subclasses).  The argument parser is built once per
+process, on first use.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import argparse
 import functools
 import inspect
 import json
-import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -56,19 +52,6 @@ def _oracle_cell(n: int, m: int, family: str, budget: int) -> tuple[int, str]:
     _check_oracle_pre(n, m, budget)
     value, _, text = oracle_cell_slice(n, m, family, 0, comb(pair_count(n), m))
     return value, text
-
-
-def _budget(args: argparse.Namespace) -> int:
-    """--budget, else RAMSEY_BUDGET, else the default per-cell budget."""
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("RAMSEY_BUDGET")
-    if not env:
-        return DEFAULT_ORACLE_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"RAMSEY_BUDGET is not an integer: {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +131,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     families = [p for p in (("coloring", "f"), ("digraph", "F")) if args.family in (p[0], "both")]
-    budget = _budget(args)
     args.out.mkdir(parents=True, exist_ok=True)
     values: dict[str, tuple[int, Path]] = {}
     for family, label in families:
-        value, text = _oracle_cell(args.n, args.m, family, budget)
+        value, text = _oracle_cell(args.n, args.m, family, args.budget)
         path = args.out / f"oracle_n{args.n}_m{args.m}_{family}.txt"
         path.write_text(text)
         values[label] = (value, path)
@@ -304,7 +286,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_atlas(args: argparse.Namespace) -> int:
-    budget = _budget(args)
     print("n,m,f,F,violations")
     prev_f: "int | None" = None
     prev_F: "int | None" = None
@@ -315,8 +296,8 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         prev_f = prev_F = None
         for m in range(top + 1):
             try:
-                f_val, _ = _oracle_cell(n, m, "coloring", budget)
-                big_f, _ = _oracle_cell(n, m, "digraph", budget)
+                f_val, _ = _oracle_cell(n, m, "coloring", args.budget)
+                big_f, _ = _oracle_cell(n, m, "digraph", args.budget)
             except BudgetExceeded:
                 print(f"{n},{m},,,skipped-budget")
                 prev_f = prev_F = None
@@ -402,8 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--family", choices=["coloring", "digraph", "both"], default="both")
     p.add_argument("--out", type=Path, default=Path("."))
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
@@ -434,8 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="oracle grid cross-tabulated against formulas")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     p.set_defaults(func=_cmd_atlas)
 
     return parser

@@ -11,7 +11,7 @@ a simple graph:
 * keep vertices with no earlier neighbor: the output is an independent
   set, and its expected size is exactly sum(1 / (d_i + 1)).
 * keep vertices with at most one earlier neighbor: the output induces a
-  forest, and its expected size is exactly sum(2 / (d_i + 1)).
+  forest, and its expected size is exactly sum(min(1, 2 / (d_i + 1))).
 
 Lifted to the two instance families, the first rule lower-bounds the
 guaranteed monochromatic clique (independent set in the minority color's
@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,12 +55,9 @@ from .solvers import _ORACLE_BLOCK, _bits, _one_way_out_masks, _topological_orde
 
 __all__ = [
     "TrialStats",
-    "ExpectationBound",
     "split_seed",
     "caro_wei_run",
     "aks_run",
-    "expectation_caro_wei",
-    "expectation_aks",
     "expected_run_size",
     "permutation_average_size",
     "mono_clique_trials",
@@ -72,15 +69,6 @@ __all__ = [
     "is_independent_set",
     "induces_forest",
 ]
-
-
-class ExpectationBound(NamedTuple):
-    """Exact expectation of a selection rule plus its degree-regularized
-    floor n / (2m/n + 1) (resp. doubled); the floor never exceeds the sum,
-    by convexity."""
-
-    sum_value: Fraction
-    regularized: Fraction
 
 
 @dataclass(frozen=True)
@@ -195,8 +183,7 @@ def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
 def _permutation(
     n: int, seed: "int | np.random.SeedSequence | np.random.Generator"
 ) -> list[int]:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return [int(v) for v in rng.permutation(n)]
+    return [int(v) for v in np.random.default_rng(seed).permutation(n)]
 
 
 def _select_by_earlier_neighbors(
@@ -227,45 +214,15 @@ def aks_run(
     return _select_by_earlier_neighbors(_permutation(len(graph), seed), graph, 1)
 
 
-def _degrees(graph: Sequence[int]) -> list[int]:
-    return [mask.bit_count() for mask in graph]
-
-
-def _sum_over_degrees(degrees: Sequence[int], term: Callable[[int], Fraction]) -> Fraction:
-    """Sum of ``term(d)`` over the degrees, one term per distinct degree."""
-    return sum(count * term(d) for d, count in Counter(degrees).items())
-
-
-def _expectation(graph: Sequence[int], numerator: int) -> ExpectationBound:
-    degrees = _degrees(graph)
-    total = _sum_over_degrees(degrees, lambda d: Fraction(numerator, d + 1))
-    n, twice_m = len(degrees), sum(degrees)
-    regularized = Fraction(numerator * n * n, twice_m + n) if n else Fraction(0)
-    return ExpectationBound(total, regularized)
-
-
-def expectation_caro_wei(graph: Sequence[int]) -> ExpectationBound:
-    """Exact E[|output|] of :func:`caro_wei_run`: sum 1/(d_i + 1)."""
-    return _expectation(graph, 1)
-
-
-def expectation_aks(graph: Sequence[int]) -> ExpectationBound:
-    """The classical forest-size bound sum 2/(d_i + 1).
-
-    This is E[|output|] of :func:`aks_run` whenever every degree is
-    positive, the premise of the underlying bound.  An isolated vertex is
-    always kept and contributes 1 to the run size but 2 to this sum; use
-    :func:`expected_run_size` for the exact expectation on any graph.
-    """
-    return _expectation(graph, 2)
-
-
 def expected_run_size(graph: Sequence[int], max_earlier: int) -> Fraction:
     """Exact E[|output|] of the earlier-neighbor rule on any graph:
     a vertex is kept iff it lands in the first max_earlier + 1 slots of a
-    uniform arrangement of its closed neighborhood, capped at certainty."""
-    return _sum_over_degrees(
-        _degrees(graph), lambda d: min(Fraction(1), Fraction(max_earlier + 1, d + 1))
+    uniform arrangement of its closed neighborhood, capped at certainty.
+    One term per distinct degree."""
+    degrees = Counter(mask.bit_count() for mask in graph)
+    return sum(
+        count * min(Fraction(1), Fraction(max_earlier + 1, d + 1))
+        for d, count in degrees.items()
     )
 
 

@@ -38,6 +38,7 @@ bitmasks built from a selection of the codes by one helper,
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -82,7 +83,7 @@ class _PairState(enum.Enum):
     def token(self) -> str:
         return self.value
 
-    @property
+    @functools.cached_property
     def code(self) -> int:
         return list(type(self)).index(self)
 
@@ -176,7 +177,7 @@ class _PairStates:
         for (u, v), state in pairs.items():
             if not isinstance(state, kind):
                 raise TypeError(f"pair state {state!r} is not a {kind.__name__}")
-            code = cls._STATES.index(state)  # state.code rebuilds a list per call
+            code = state.code
             if u > v:
                 u, v, code = v, u, cls._REVERSED[code]
             idx = pair_index(u, v, n)
@@ -640,15 +641,9 @@ def serialize_instance(instance: Instance) -> str:
 # Seeded random instances (test and default-argument fodder)
 
 
-def _rng(seed: "int | np.random.Generator") -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_coloring(n: int, seed: "int | np.random.Generator") -> BicoloredGraph:
     """Uniform independent pair states over {R, B, RB}."""
-    draws = _rng(seed).integers(0, 3, size=pair_count(n))
+    draws = np.random.default_rng(seed).integers(0, 3, size=pair_count(n))
     return BicoloredGraph(n, draws.astype(np.int8).tobytes())
 
 
@@ -660,5 +655,5 @@ def random_semicomplete(n: int, seed: "int | np.random.Generator") -> Semicomple
 def random_tournament(n: int, seed: "int | np.random.Generator") -> SemicompleteDigraph:
     """Uniform random tournament: every pair one-way, orientation a coin flip
     (a draw of 1 is forward, code 0)."""
-    draws = _rng(seed).integers(0, 2, size=pair_count(n))
+    draws = np.random.default_rng(seed).integers(0, 2, size=pair_count(n))
     return SemicompleteDigraph(n, (1 - draws).astype(np.int8).tobytes())

@@ -21,7 +21,7 @@
 
 All searches are deterministic; ties between optimal witnesses break to
 the lexicographically smallest vertex set (and red before blue), so
-outputs are reproducible across runs, platforms, and thread counts.
+outputs are reproducible across runs and platforms.
 
 Both branch-and-bound searches take a private ``floor``: a maximum at or
 below it reads as the floor, so a search that only has to beat a known

@@ -5,7 +5,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,9 @@ from biramsey.model import (
     pair_count,
     serialize_instance,
 )
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_cli(argv):
@@ -88,12 +95,42 @@ def test_oracle_csv_row(tmp_path):
 
 
 def test_oracle_budget_env(tmp_path, monkeypatch):
+    # the budget is set by --budget alone; the environment is not read
+    argv = ["oracle", "--n", "5", "--m", "4", "--out", str(tmp_path)]
+    reference = run_cli(argv)
     monkeypatch.setenv("RAMSEY_BUDGET", "2")
-    code, _, err = run_cli(
-        ["oracle", "--n", "5", "--m", "4", "--out", str(tmp_path)]
+    assert run_cli(argv) == reference
+    assert reference[0] == 0
+
+
+def test_oracle_budget_flag_refuses_a_cell_over_it(tmp_path):
+    code, out, err = run_cli(
+        ["oracle", "--n", "5", "--m", "4", "--budget", "2", "--out", str(tmp_path)]
     )
     assert code == 2
-    assert "budget" in err
+    assert out == ""
+    assert err == "error: cell (n=5, m=4) needs 3360 enumerated instances; budget is 2\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atlas_budget_flag_skips_cells_over_it():
+    code, out, _ = run_cli(["atlas", "--n-max", "4", "--budget", "100"])
+    assert code == 0
+    rows = out.splitlines()
+    # C(6, m) * 2^m instances: 160, 240 and 192 for m = 3, 4, 5 at n = 4
+    assert [row for row in rows if row.endswith("skipped-budget")] == [
+        "4,3,,,skipped-budget", "4,4,,,skipped-budget", "4,5,,,skipped-budget",
+    ]
+    assert "4,6,2,3," in rows
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--n", "3", "--m", "1"], ["atlas", "--n-max", "2"]])
+def test_threads_is_not_an_option(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*argv, "--threads", "2"])
+    assert code == 2
+    assert out == "" and "unrecognized arguments: --threads 2" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n, m", [(20000, 99990000), (2000, 999500)])
@@ -190,6 +227,40 @@ def test_bound_degenerate_density_is_usage_error():
     code, _, err = run_cli(["bound", "first-moment", "--p", "1", "--n", "64"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # n / t beyond float range
+        (["blowup", "--p", "1/2", "--n", str(10**400)],
+         "the blow-up bound needs n within float range"),
+        (["best-upper", "--p", "1/2", "--n", str(10**400)],
+         "the blow-up bound needs n within float range"),
+        # unbounded big-integer work: a threshold scan past n = 2^128, and
+        # 2^C(k, 2) at k = 100000 (625 MB)
+        (["lll-threshold", "--n", str(10**300)], "n above the local-lemma cap 2^128"),
+        (["lll-threshold", "--n", str(2**128 + 1)], "n above the local-lemma cap 2^128"),
+        (["lll", "--n", str(10**300), "--k", "5"], "n above the local-lemma cap 2^128"),
+        (["lll", "--n", str(10**30), "--k", "100000"], "k above the local-lemma cap 257"),
+    ],
+)
+def test_bound_refuses_huge_parameters_at_once(argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(["bound", *argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_bound_local_lemma_at_its_caps():
+    code, out, _ = run_cli(["bound", "lll-threshold", "--n", str(2**128)])
+    assert code == 0
+    assert out.splitlines()[1].startswith("local-lemma-upper,upper,true,255,")
+    assert bounds.lll_condition(2**128, 257).holds
+    code, out, _ = run_cli(["bound", "lll", "--n", str(2**128), "--k", "100"])
+    assert code == 0
+    assert "holds,false" in out.splitlines()
 
 
 def test_verify_accepts_valid_and_rejects_tampered(tmp_path):
@@ -367,16 +438,22 @@ def test_every_builder_round_trips_through_verify(tmp_path, argv):
 
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_oracle_thread_count_does_not_change_output(tmp_path, threads):
-    code, out, _ = run_cli(
-        ["oracle", "--n", "5", "--m", "4", "--family", "both",
-         "--out", str(tmp_path), "--threads", str(threads)]
+    # the CLI takes no thread count; the numeric libraries read theirs from
+    # the environment at import, so each count runs in a fresh interpreter
+    env = {**os.environ, **{var: str(threads) for var in _THREAD_VARS}}
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "biramsey.cli", "oracle", "--n", "5", "--m", "4",
+         "--family", "both", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
     )
-    assert code == 0
+    assert result.returncode == 0, result.stderr
     reference = (
         f"f(5,4)=3 instance={tmp_path}/oracle_n5_m4_coloring.txt\n"
         f"F(5,4)=4 instance={tmp_path}/oracle_n5_m4_digraph.txt\n"
     )
-    assert out == reference
+    assert result.stdout == reference
 
 
 
@@ -440,18 +517,6 @@ def test_bad_budget_env_ignored_where_no_budget_is_used(tmp_path, monkeypatch, a
     (tmp_path / "instance.txt").write_text(serialize_instance(BicoloredGraph(2, b"\2")))
     code, _, err = run_cli(argv)
     assert code == 0 and err == ""
-
-
-@pytest.mark.parametrize(
-    "argv", [["oracle", "--n", "3", "--m", "1"], ["atlas", "--n-max", "2"]]
-)
-def test_bad_budget_env_is_input_error(tmp_path, monkeypatch, argv):
-    monkeypatch.setenv("RAMSEY_BUDGET", "abc")
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(argv)
-    assert code == 2
-    assert err.startswith("error:") and "RAMSEY_BUDGET" in err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_search_flag_has_no_effect(tmp_path):

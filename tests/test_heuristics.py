@@ -15,8 +15,6 @@ from biramsey.heuristics import (
     aks_run,
     blue_edge_graph,
     caro_wei_run,
-    expectation_aks,
-    expectation_caro_wei,
     expected_run_size,
     induces_forest,
     is_independent_set,
@@ -85,13 +83,24 @@ def test_runs_are_always_valid():
         assert induces_forest(g, aks_run(g, seed))
 
 
+def caro_wei_sum(graph):
+    """The classical sum 1/(d_i + 1), written out independently."""
+    return sum(Fraction(1, d + 1) for d in degrees(graph))
+
+
+def forest_sum(graph):
+    """The classical sum 2/(d_i + 1); the forest rule's expectation when
+    every degree is positive."""
+    return sum(Fraction(2, d + 1) for d in degrees(graph))
+
+
 def test_closed_form_expectations():
-    assert expectation_caro_wei(C5).sum_value == Fraction(5, 3)
-    assert expectation_aks(C5).sum_value == Fraction(10, 3)
-    assert expectation_caro_wei(K4).sum_value == 1
-    assert expectation_aks(K4).sum_value == 2
-    assert expectation_caro_wei(PETERSEN).sum_value == Fraction(5, 2)
-    assert expectation_aks(PETERSEN).sum_value == 5
+    assert expected_run_size(C5, 0) == Fraction(5, 3)
+    assert expected_run_size(C5, 1) == Fraction(10, 3)
+    assert expected_run_size(K4, 0) == 1
+    assert expected_run_size(K4, 1) == 2
+    assert expected_run_size(PETERSEN, 0) == Fraction(5, 2)
+    assert expected_run_size(PETERSEN, 1) == 5
 
 
 def test_permutation_average_equals_closed_form():
@@ -103,9 +112,9 @@ def test_permutation_average_equals_closed_form():
         g = random_simple_graph(6, 0.5, seed)
         assert permutation_average_size(g, 0) == expected_run_size(g, 0)
         assert permutation_average_size(g, 1) == expected_run_size(g, 1)
-        assert expected_run_size(g, 0) == expectation_caro_wei(g).sum_value
+        assert expected_run_size(g, 0) == caro_wei_sum(g)
         if min(degrees(g)) > 0:
-            assert expected_run_size(g, 1) == expectation_aks(g).sum_value
+            assert expected_run_size(g, 1) == forest_sum(g)
 
 
 def test_expectations_exhaustively_on_every_five_vertex_graph():
@@ -113,28 +122,30 @@ def test_expectations_exhaustively_on_every_five_vertex_graph():
     pairs = list(combinations(range(5), 2))
     for mask in range(1 << 10):
         g = from_edges(5, [pairs[i] for i in range(10) if mask >> i & 1])
-        assert permutation_average_size(g, 0) == expectation_caro_wei(g).sum_value
+        assert permutation_average_size(g, 0) == expected_run_size(g, 0) == caro_wei_sum(g)
         assert permutation_average_size(g, 1) == expected_run_size(g, 1)
         if edge_count(g) and min(degrees(g)) > 0:
-            assert expected_run_size(g, 1) == expectation_aks(g).sum_value
+            assert expected_run_size(g, 1) == forest_sum(g)
 
 
 def test_forest_rule_expectation_clamps_isolated_vertices():
     # an isolated vertex is always kept: it adds 1 to the true expectation,
     # while the classical sum (whose premise is positive degrees) counts 2
     g = from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert expectation_aks(g).sum_value == Fraction(2) + Fraction(8, 3)
+    assert forest_sum(g) == Fraction(2) + Fraction(8, 3)
     assert expected_run_size(g, 1) == 1 + Fraction(8, 3)
     assert permutation_average_size(g, 1) == expected_run_size(g, 1)
 
 
 def test_regularized_value_never_exceeds_sum():
+    # the degree-regularized floors n^2/(2e + n) and 2n^2/(2e + n), the
+    # cell formulas of bounds.lower_bound_formulas, by convexity
     for seed in range(25):
         g = random_simple_graph(20, 0.4, seed)
-        cw = expectation_caro_wei(g)
-        ak = expectation_aks(g)
-        assert cw.regularized <= cw.sum_value
-        assert ak.regularized <= ak.sum_value
+        assert all(g)  # no isolated vertex, where the forest floor is not a floor
+        n, twice_e = len(g), sum(degrees(g))
+        assert Fraction(n * n, twice_e + n) <= expected_run_size(g, 0)
+        assert Fraction(2 * n * n, twice_e + n) <= expected_run_size(g, 1)
 
 
 @settings(max_examples=120, deadline=None)
@@ -182,7 +193,7 @@ def test_minority_color_choice():
     )
     w, stats = mono_clique_trials(g, 5, 9)
     assert w.color is EdgeColor.BLUE
-    assert stats.guarantee == expectation_caro_wei(red_edge_graph(g)).sum_value
+    assert stats.guarantee == caro_wei_sum(red_edge_graph(g))
     assert verify_witness(g, w)
 
 
@@ -226,13 +237,13 @@ def test_guarantee_bounds_when_m_at_least_n():
             continue
         checked += 1
         minority = min(blue_edge_graph(g), red_edge_graph(g), key=edge_count)
-        assert expectation_caro_wei(minority).sum_value >= Fraction(n * n, m + n)
+        assert caro_wei_sum(minority) >= Fraction(n * n, m + n)
         _, stats = mono_clique_trials(g, 1, trial)
         assert stats.guarantee >= Fraction(n * n, m + n)
         d = random_semicomplete(n, int(rng.integers(0, 2**31)))
         m2 = d.oneway_count
         if m2 >= n:
-            assert expectation_aks(one_way_graph(d)).sum_value >= Fraction(
+            assert forest_sum(one_way_graph(d)) >= Fraction(
                 2 * n * n, 2 * m2 + n
             )
     assert checked > 10
