@@ -131,6 +131,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     families = [p for p in (("coloring", "f"), ("digraph", "F")) if args.family in (p[0], "both")]
+    _check_oracle_pre(args.n, args.m, args.budget)  # both families share one estimate
     args.out.mkdir(parents=True, exist_ok=True)
     values: dict[str, tuple[int, Path]] = {}
     for family, label in families:
@@ -205,15 +206,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         _bound_atlas(args.n_max, args.m_max)
         return 0
     rows = _BOUNDS[args.name](args)
+    # every row is rendered before any is printed: a value too long to
+    # print as a decimal then fails the command with nothing on stdout
     if isinstance(rows, dict):
-        print("quantity,value")
-        for key, value in rows.items():
-            print(f"{key},{_plain(value)}")
-        return 0
-    print("name,side,exact,value,params")
-    for r in rows:
-        params = ";".join(f"{k}={_plain(v)}" for k, v in sorted(r.params.items()))
-        print(f"{r.name},{r.side},{str(r.exact).lower()},{_format_value(r.value)},{params}")
+        lines = ["quantity,value", *(f"{key},{_plain(value)}" for key, value in rows.items())]
+    else:
+        lines = ["name,side,exact,value,params"]
+        for r in rows:
+            params = ";".join(f"{k}={_plain(v)}" for k, v in sorted(r.params.items()))
+            lines.append(f"{r.name},{r.side},{str(r.exact).lower()},{_format_value(r.value)},{params}")
+    print("\n".join(lines))
     return 0
 
 

@@ -15,7 +15,8 @@ first in pair order, so a candidate is the base code shifted past them,
 scored; below order k every code is TT_k-free.  A code is the oracle's
 code-0 (forward) pair mask and its complement the code-1 one, so blocks of
 ``solvers._ORACLE_BLOCK`` candidates go through the oracle's subset
-dynamic program, which keeps peak memory flat.
+dynamic program, which runs on bit planes (one Python int per vertex set,
+bit i for candidate i) and keeps peak memory flat.
 
 These scans are an independent route to the same quantities as the
 branch-and-bound solvers; the test suite cross-checks the two.

@@ -670,10 +670,10 @@ def max_transitive_set_by_enumeration(digraph: SemicompleteDigraph) -> int:
 # assignment code 0 .. 2^m - 1 ascending, code bit b deciding the b-th placed
 # pair (1 = red / forward, 0 = blue / backward).  In both families an
 # instance is held as the pair bitmasks of ``model``'s codes 0 (red / forward)
-# and 1 (blue / backward), and whole blocks are scored by one numpy pass.
+# and 1 (blue / backward), and whole blocks are scored at a time.
 
 _ORACLE_PAIR_CAP = 15  # C(n,2) cap for exhaustive enumeration
-_ORACLE_BLOCK = 1 << 16  # instances per numpy pass; keeps peak memory flat
+_ORACLE_BLOCK = 1 << 16  # instances per scored block; keeps peak memory flat
 
 
 def oracle_budget_estimate(n: int, m: int) -> int:
@@ -748,44 +748,43 @@ def _transitive_sizes(n: int, forward: np.ndarray, backward: np.ndarray, cap: in
     a size of ``cap`` or more reads as ``cap`` (sizes up to 2 are always
     exact).
 
-    Subset dynamic program: S is acyclic iff some v in S is a source of S
-    (no one-way arc from S \\ v into v) and S \\ v is acyclic.  A one-way
-    digraph has at most one arc per pair, so every set of at most 2 vertices
-    is acyclic; acyclicity is hereditary, so the size is 2 plus the number
-    of orders k >= 3 with an acyclic k-set.
+    Subset dynamic program on bit planes, one Python int per set with bit i
+    for instance i: S is acyclic iff some v in S is a source of S (no
+    one-way arc from S \\ v into v) and S \\ v is acyclic.  The plane of
+    "no arc from R into v" is that of R minus its lowest vertex u ANDed with
+    the plane of "no arc u -> v", so each (S, v) costs one AND, and only the
+    previous order's planes are kept.  A one-way digraph has at most one arc
+    per pair, so every set of at most 2 vertices is acyclic; acyclicity is
+    hereditary, so the size is 2 plus the number of orders k >= 3 with an
+    acyclic k-set.
     """
-    vertex_dtype = np.min_scalar_type((1 << n) - 1)
-    into = [np.zeros(len(forward), dtype=vertex_dtype) for _ in range(n)]
-    arc = np.empty_like(forward)
+    count = len(forward)
+    every = (1 << count) - 1
+    no_arc = [[every] * n for _ in range(n)]  # [tail][head]: no arc tail -> head
     for p, (u, v) in enumerate(iter_pairs(n)):
         for mask, tail, head in ((forward, u, v), (backward, v, u)):
-            np.right_shift(mask, p, out=arc)
-            arc &= 1
-            arc <<= tail
-            into[head] |= arc
-    sizes = np.full(len(forward), min(n, 2), dtype=np.int8)
-    every = np.ones(len(forward), dtype=bool)
+            arc = np.packbits(mask & (1 << p) != 0, bitorder="little")
+            no_arc[tail][head] = every ^ int.from_bytes(arc.tobytes(), "little")
+    sizes = np.full(count, min(n, 2), dtype=np.int8)
+    no_in = {(v, 1 << u): no_arc[u][v] for u in range(n) for v in range(n) if u != v}
     acyclic = {(1 << u) | (1 << v): every for u, v in iter_pairs(n)}
-    arcs_in = np.empty(len(forward), dtype=vertex_dtype)
-    source = np.empty(len(forward), dtype=bool)
     for k in range(3, min(n, cap) + 1):
-        level = {}
-        found = np.zeros(len(forward), dtype=bool)
+        level_in, level, found = {}, {}, 0
         for subset in combinations(range(n), k):
             s = sum(1 << v for v in subset)
-            ok = np.zeros(len(forward), dtype=bool)
+            ok = 0
             for v in subset:
                 rest = s ^ (1 << v)
-                np.bitwise_and(into[v], rest, out=arcs_in)
-                np.equal(arcs_in, 0, out=source)
-                source &= acyclic[rest]
-                ok |= source
+                low = rest & -rest
+                source = level_in[v, rest] = no_in[v, rest ^ low] & no_arc[low.bit_length() - 1][v]
+                ok |= source & acyclic[rest]
             level[s] = ok
             found |= ok
-        if not found.any():
+        if not found:
             break
-        sizes += found
-        acyclic = level
+        found_bytes = np.frombuffer(found.to_bytes((count + 7) // 8, "little"), dtype=np.uint8)
+        sizes += np.unpackbits(found_bytes, count=count, bitorder="little")
+        no_in, acyclic = level_in, level
     return sizes
 
 

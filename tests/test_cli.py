@@ -124,6 +124,16 @@ def test_atlas_budget_flag_skips_cells_over_it():
     assert "4,6,2,3," in rows
 
 
+@pytest.mark.parametrize("family", ["coloring", "digraph", "both"])
+def test_oracle_refused_cell_creates_no_out_directory(tmp_path, family):
+    out_dir = tmp_path / "new"
+    argv = ["oracle", "--n", "5", "--m", "4", "--family", family, "--budget", "2", "--out", str(out_dir)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: cell (n=5, m=4) needs 3360 enumerated instances; budget is 2\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("argv", [["oracle", "--n", "3", "--m", "1"], ["atlas", "--n-max", "2"]])
 def test_threads_is_not_an_option(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -261,6 +271,23 @@ def test_bound_local_lemma_at_its_caps():
     code, out, _ = run_cli(["bound", "lll", "--n", str(2**128), "--k", "100"])
     assert code == 0
     assert "holds,false" in out.splitlines()
+
+
+def test_bound_local_lemma_prints_all_rows_or_none():
+    # at n = 10^12 the event probability of k = 171 has a numerator past
+    # Python's 4300-digit limit for int-to-str conversion; k = 170 is the
+    # last that prints
+    code, out, err = run_cli(["bound", "lll", "--n", str(10**12), "--k", "170"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert lines[:2] == ["quantity,value", "holds,true"]
+    assert [line.split(",")[0] for line in lines[2:]] == [
+        "event_probability", "dependency_bound", "ratio", "ratio_ok",
+    ]
+    code, out, err = run_cli(["bound", "lll", "--n", str(10**12), "--k", "171"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_verify_accepts_valid_and_rejects_tampered(tmp_path):

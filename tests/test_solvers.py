@@ -354,6 +354,68 @@ def test_transitive_solver_matches_enumeration_block_scorer_and_lex_min(d):
     assert verify_witness(d, res.witness)
 
 
+def _into_mask_sizes(n, forward, backward, cap):
+    """Reference for ``_transitive_sizes``: the same subset dynamic program
+    on numpy arrays, one vertex mask per instance of the arcs into each
+    vertex."""
+    vertex_dtype = np.min_scalar_type((1 << n) - 1)
+    into = [np.zeros(len(forward), dtype=vertex_dtype) for _ in range(n)]
+    for p, (u, v) in enumerate(combinations(range(n), 2)):
+        for mask, tail, head in ((forward, u, v), (backward, v, u)):
+            into[head] |= ((mask >> p) & 1).astype(vertex_dtype) << tail
+    sizes = np.full(len(forward), min(n, 2), dtype=np.int8)
+    acyclic = {(1 << u) | (1 << v): np.ones(len(forward), dtype=bool) for u, v in combinations(range(n), 2)}
+    for k in range(3, min(n, cap) + 1):
+        level = {}
+        for subset in combinations(range(n), k):
+            s = sum(1 << v for v in subset)
+            level[s] = np.zeros(len(forward), dtype=bool)
+            for v in subset:
+                level[s] |= ((into[v] & (s ^ (1 << v))) == 0) & acyclic[s ^ (1 << v)]
+        found = np.logical_or.reduce(list(level.values()))
+        if not found.any():
+            break
+        sizes += found
+        acyclic = level
+    return sizes
+
+
+def _pair_code_block(n, length, kind, rng):
+    """Code-0 and code-1 pair masks of ``length`` random instances on n
+    vertices: tournaments, every pair code drawn uniformly, or the oracle's
+    shape of a few one-way pairs among bioriented ones."""
+    pairs = pair_count(n)
+    if kind == "tournament":
+        codes = rng.integers(0, 2, size=(length, pairs))
+    elif kind == "mixed":
+        codes = rng.integers(0, 3, size=(length, pairs))
+    else:
+        codes = np.where(rng.random((length, pairs)) < 0.3, rng.integers(0, 2, size=(length, pairs)), 2)
+    dtype = np.min_scalar_type((1 << pairs) - 1)
+    weights = (1 << np.arange(pairs, dtype=np.uint64)).astype(dtype)
+    return codes, *((codes == code).astype(dtype) @ weights for code in (0, 1))
+
+
+@pytest.mark.parametrize("kind", ["tournament", "mixed", "sparse"])
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_transitive_block_scorer_matches_into_mask_program(n, kind, seed):
+    # block lengths that are not multiples of 8 or 64 leave a partial last
+    # byte and word in every plane
+    rng = np.random.default_rng(seed)
+    for length in (0, 1, 37, 1000):
+        codes, forward, backward = _pair_code_block(n, length, kind, rng)
+        for cap in range(2, n + 2):
+            sizes = _transitive_sizes(n, forward, backward, cap)
+            assert sizes.dtype == np.int8
+            assert sizes.tolist() == _into_mask_sizes(n, forward, backward, cap).tolist()
+        # at cap n + 1 the sizes are exact
+        for row, size in zip(codes[:3], sizes):
+            digraph = SemicompleteDigraph(n, row.astype(np.int8).tobytes())
+            assert max_transitive_set_by_enumeration(digraph) == size
+
+
 @settings(max_examples=120, deadline=None)
 @given(_small_instances(SemicompleteDigraph))
 def test_clique_of_the_mapped_coloring_is_at_most_the_transitive_set(d):
