@@ -208,13 +208,17 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     rows = _BOUNDS[args.name](args)
     # every row is rendered before any is printed: a value too long to
     # print as a decimal then fails the command with nothing on stdout
-    if isinstance(rows, dict):
-        lines = ["quantity,value", *(f"{key},{_plain(value)}" for key, value in rows.items())]
-    else:
-        lines = ["name,side,exact,value,params"]
-        for r in rows:
-            params = ";".join(f"{k}={_plain(v)}" for k, v in sorted(r.params.items()))
-            lines.append(f"{r.name},{r.side},{str(r.exact).lower()},{_format_value(r.value)},{params}")
+    try:
+        if isinstance(rows, dict):
+            lines = ["quantity,value", *(f"{key},{_plain(value)}" for key, value in rows.items())]
+        else:
+            lines = ["name,side,exact,value,params"]
+            for r in rows:
+                params = ";".join(f"{k}={_plain(v)}" for k, v in sorted(r.params.items()))
+                lines.append(f"{r.name},{r.side},{str(r.exact).lower()},{_format_value(r.value)},{params}")
+    except ValueError:  # only int-to-str conversion raises here
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a value has more than {limit} digits, Python's limit for printing an int") from None
     print("\n".join(lines))
     return 0
 

@@ -12,11 +12,11 @@ extensions of the TT_k-free codes of order ``o - 1`` by a new vertex 0
 with each of its 2^(o - 1) arc patterns.  Vertex 0's pairs (0, v) come
 first in pair order, so a candidate is the base code shifted past them,
 ``base << (o - 1)``, ORed with its arc pattern.  Only those candidates are
-scored; below order k every code is TT_k-free.  A code is the oracle's
-code-0 (forward) pair mask and its complement the code-1 one, so blocks of
-``solvers._ORACLE_BLOCK`` candidates go through the oracle's subset
-dynamic program, which runs on bit planes (one Python int per vertex set,
-bit i for candidate i) and keeps peak memory flat.
+scored; below order k every code is TT_k-free.  Blocks of
+``solvers._ORACLE_BLOCK`` candidates go through the oracle's acyclic-set
+kernel on bit planes (one Python int per pair or vertex set, bit i for
+candidate i), which keeps peak memory flat.  A code is its forward pair mask:
+only the planes of missing forward arcs are packed, the rest complemented.
 
 These scans are an independent route to the same quantities as the
 branch-and-bound solvers; the test suite cross-checks the two.
@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .model import ArcState, SemicompleteDigraph, pair_count
-from .solvers import _ORACLE_BLOCK, BudgetExceeded, _cell_instance, _transitive_sizes
+from .solvers import _ORACLE_BLOCK, BudgetExceeded, _acyclic_sizes, _cell_instance, _pair_planes
 
 __all__ = [
     "tournament_from_code",
@@ -72,16 +72,18 @@ def _free_extensions(base: np.ndarray, order: int, k: int) -> Iterator[np.ndarra
     """TT_k-free codes of the given order whose vertices 1 .. order - 1
     span a tournament in ``base``, one array per block of candidates
     (block-ordered, not sorted)."""
-    full_mask = (1 << pair_count(order)) - 1
-    full = np.min_scalar_type(full_mask).type(full_mask)
+    dtype = np.min_scalar_type((1 << pair_count(order)) - 1)
     new = order - 1  # pairs (0, v) of the new vertex 0, first in pair order
-    base = base.astype(full.dtype) << new
+    base = base.astype(dtype) << new
     # pattern bit v - 1 set means arc 0 -> v, else the reverse
-    arcs = np.arange(1 << new, dtype=full.dtype)
+    arcs = np.arange(1 << new, dtype=dtype)
     rows = max(1, _ORACLE_BLOCK >> new)
     for lo in range(0, len(base), rows):
         codes = (base[lo : lo + rows, None] | arcs).ravel()
-        yield codes[_transitive_sizes(order, codes, codes ^ full, k) < k]
+        no_forward = _pair_planes(codes, order)
+        every = (1 << len(codes)) - 1
+        no_backward = [every ^ plane for plane in no_forward]
+        yield codes[_acyclic_sizes(order, len(codes), no_forward, no_backward, k) < k]
 
 
 def tt_free_tournament_codes(order: int, k: int) -> np.ndarray:

@@ -76,7 +76,6 @@ class TrialStats:
     trials: int
     mean: Fraction
     guarantee: Fraction
-    best_set: tuple[int, ...]
 
 
 def split_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -377,7 +376,7 @@ def mono_clique_trials(
     else:
         obstacle, witness_color = red_edge_graph(coloring), EdgeColor.BLUE
     best, mean = _best_of_trials(obstacle, trials, seed, 0)
-    stats = TrialStats(trials, mean, expected_run_size(obstacle, 0), best)
+    stats = TrialStats(trials, mean, expected_run_size(obstacle, 0))
     return MonoCliqueWitness(best, witness_color), stats
 
 
@@ -391,6 +390,6 @@ def transitive_trials(
     """
     graph = one_way_graph(digraph)
     best, mean = _best_of_trials(graph, trials, seed, 1)
-    stats = TrialStats(trials, mean, expected_run_size(graph, 1), best)
+    stats = TrialStats(trials, mean, expected_run_size(graph, 1))
     order = _topological_order(best, _one_way_out_masks(digraph))
     return TransitiveWitness(best, order), stats

@@ -15,9 +15,10 @@
 * :func:`brute_force_f` / :func:`brute_force_F` - the worst-case values
   f(n, m) and F(n, m): minimum over every placement of m unicolored /
   one-way pairs and every color / orientation assignment of the maximum
-  substructure, at tiny n.  A numpy scan, independent of the
-  branch-and-bound searches, scores blocks of instances held as the pair
-  bitmasks of codes 0 and 1, as are the tournaments of ``exhaustive``.
+  substructure, at tiny n.  One bit-plane kernel, independent of the
+  branch-and-bound searches, scores blocks of instances for both families
+  and the tournaments of ``exhaustive``: a clique is an acyclic set once
+  each pair of the other color only carries arcs both ways.
 
 All searches are deterministic; ties between optimal witnesses break to
 the lexicographically smallest vertex set (and red before blue), so
@@ -52,7 +53,6 @@ from .model import (
     _pair_masks,
     iter_pairs,
     pair_count,
-    pair_index,
     serialize_instance,
 )
 
@@ -716,64 +716,41 @@ def _block_masks(positions: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np
     return assigned.ravel(), (placed ^ assigned).ravel()
 
 
-def _mono_clique_sizes(n: int, red: np.ndarray, blue: np.ndarray, cap: int) -> np.ndarray:
-    """Largest monochromatic clique of every instance, exact up to ``cap``:
-    a size of ``cap`` or more reads as ``cap`` (sizes up to 2 are always
-    exact).
+def _pair_planes(masks: np.ndarray, n: int) -> list[int]:
+    """Bit plane of each pair: bit i of int p is set iff mask i lacks pair p."""
+    return [
+        int.from_bytes(np.packbits(masks & (1 << p) == 0, bitorder="little").tobytes(), "little")
+        for p in range(pair_count(n))
+    ]
 
-    A vertex set S is a red (blue) clique iff its pair mask P_S misses
-    ``blue`` (``red``), the pairs of that color only.  Every pair carries
-    red or blue, and cliques are hereditary, so the size is 2 plus the
-    number of orders k >= 3 with some monochromatic k-set.
+
+def _acyclic_sizes(n: int, count: int, no_ahead: list[int], no_behind: list[int], cap: int) -> np.ndarray:
+    """Largest acyclic vertex set of each of ``count`` digraphs, read as
+    ``cap`` from ``cap`` up and as ``min(n, 2)`` below 2.
+
+    Pair p = (u, v) lacks the arc u -> v in the digraphs of bit plane
+    ``no_ahead[p]`` and v -> u in those of ``no_behind[p]`` (bit i for
+    digraph i), the planes the program reads, so it makes no copies.
+    Subset dynamic program, one plane per set: S is acyclic iff some source
+    v of S (no arc from S \\ v into v) leaves an acyclic S \\ v; "no arc from
+    R into v" is that of R minus its lowest vertex u ANDed with "no arc
+    u -> v".  Only the previous order's planes are kept, and the scan stops
+    at the first order no digraph reaches.  If ``no_ahead is no_behind``,
+    every arc runs both ways and only the lowest vertex of S is tried.
     """
-    sizes = np.full(len(red), min(n, 2), dtype=np.int8)
-    inside = np.empty_like(red)
-    hit = np.empty(len(red), dtype=bool)
-    for k in range(3, min(n, cap) + 1):
-        found = np.zeros(len(red), dtype=bool)
-        for subset in combinations(range(n), k):
-            mask = sum(1 << pair_index(u, v, n) for u, v in combinations(subset, 2))
-            for color in (red, blue):
-                np.bitwise_and(color, mask, out=inside)
-                np.equal(inside, 0, out=hit)
-                found |= hit
-        if not found.any():
-            break
-        sizes += found
-    return sizes
-
-
-def _transitive_sizes(n: int, forward: np.ndarray, backward: np.ndarray, cap: int) -> np.ndarray:
-    """Largest transitive vertex set of every instance, exact up to ``cap``:
-    a size of ``cap`` or more reads as ``cap`` (sizes up to 2 are always
-    exact).
-
-    Subset dynamic program on bit planes, one Python int per set with bit i
-    for instance i: S is acyclic iff some v in S is a source of S (no
-    one-way arc from S \\ v into v) and S \\ v is acyclic.  The plane of
-    "no arc from R into v" is that of R minus its lowest vertex u ANDed with
-    the plane of "no arc u -> v", so each (S, v) costs one AND, and only the
-    previous order's planes are kept.  A one-way digraph has at most one arc
-    per pair, so every set of at most 2 vertices is acyclic; acyclicity is
-    hereditary, so the size is 2 plus the number of orders k >= 3 with an
-    acyclic k-set.
-    """
-    count = len(forward)
-    every = (1 << count) - 1
-    no_arc = [[every] * n for _ in range(n)]  # [tail][head]: no arc tail -> head
+    no_arc = [[0] * n for _ in range(n)]  # [tail][head]: no arc tail -> head
     for p, (u, v) in enumerate(iter_pairs(n)):
-        for mask, tail, head in ((forward, u, v), (backward, v, u)):
-            arc = np.packbits(mask & (1 << p) != 0, bitorder="little")
-            no_arc[tail][head] = every ^ int.from_bytes(arc.tobytes(), "little")
+        no_arc[u][v], no_arc[v][u] = no_ahead[p], no_behind[p]
+    sources = 1 if no_ahead is no_behind else n
     sizes = np.full(count, min(n, 2), dtype=np.int8)
     no_in = {(v, 1 << u): no_arc[u][v] for u in range(n) for v in range(n) if u != v}
-    acyclic = {(1 << u) | (1 << v): every for u, v in iter_pairs(n)}
+    acyclic = {(1 << u) | (1 << v): no_arc[u][v] | no_arc[v][u] for u, v in iter_pairs(n)}
     for k in range(3, min(n, cap) + 1):
         level_in, level, found = {}, {}, 0
         for subset in combinations(range(n), k):
             s = sum(1 << v for v in subset)
             ok = 0
-            for v in subset:
+            for v in subset[:sources]:
                 rest = s ^ (1 << v)
                 low = rest & -rest
                 source = level_in[v, rest] = no_in[v, rest ^ low] & no_arc[low.bit_length() - 1][v]
@@ -786,6 +763,22 @@ def _transitive_sizes(n: int, forward: np.ndarray, backward: np.ndarray, cap: in
         sizes += np.unpackbits(found_bytes, count=count, bitorder="little")
         no_in, acyclic = level_in, level
     return sizes
+
+
+def _mono_clique_sizes(n: int, red: np.ndarray, blue: np.ndarray, cap: int) -> np.ndarray:
+    """Largest monochromatic clique of every instance, read as ``cap`` from
+    ``cap`` up.  A red (blue) clique is an acyclic set once each pair of
+    ``blue`` (``red``), the pairs of that color only, carries both arcs;
+    every pair carries a color, so the larger of the two sizes is exact."""
+    planes = _pair_planes(np.concatenate([blue, red]), n)
+    sizes = _acyclic_sizes(n, 2 * len(red), planes, planes, cap)
+    return np.maximum(sizes[: len(red)], sizes[len(red) :])
+
+
+def _transitive_sizes(n: int, forward: np.ndarray, backward: np.ndarray, cap: int) -> np.ndarray:
+    """Largest transitive vertex set of every instance, read as ``cap`` from
+    ``cap`` up; a one-way digraph has no 2-cycle, so a size of 2 is exact."""
+    return _acyclic_sizes(n, len(forward), _pair_planes(forward, n), _pair_planes(backward, n), cap)
 
 
 _SCORERS = {"coloring": _mono_clique_sizes, "digraph": _transitive_sizes}

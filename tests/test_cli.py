@@ -290,6 +290,14 @@ def test_bound_local_lemma_prints_all_rows_or_none():
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_bound_local_lemma_names_the_digit_limit():
+    # n = 2^128 and k = 118 are inside both caps, but the event probability
+    # is past the 4300-digit limit for printing an integer
+    code, out, err = run_cli(["bound", "lll", "--n", str(2**128), "--k", "118"])
+    assert (code, out) == (2, "")
+    assert err == "error: a value has more than 4300 digits, Python's limit for printing an int\n"
+
+
 def test_verify_accepts_valid_and_rejects_tampered(tmp_path):
     run_cli(["construct", "packing", "--n", "9", "--k", "2", "--out", str(tmp_path)])
     cert = tmp_path / "packing_n9_k2.cert.json"

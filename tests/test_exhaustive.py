@@ -17,6 +17,7 @@ from biramsey.model import pair_count
 from biramsey.solvers import (
     _ORACLE_BLOCK,
     BudgetExceeded,
+    _acyclic_sizes,
     _transitive_sizes,
     brute_force_F,
     max_transitive_set,
@@ -128,11 +129,11 @@ def test_order_8_extends_order_7_blocks_as_they_come(monkeypatch):
     # candidates; extending its first block at once stops far sooner
     scored = []
 
-    def counting(n, forward, backward, cap):
-        scored.append(len(forward))
-        return _transitive_sizes(n, forward, backward, cap)
+    def counting(n, count, no_ahead, no_behind, cap):
+        scored.append(count)
+        return _acyclic_sizes(n, count, no_ahead, no_behind, cap)
 
-    monkeypatch.setattr(exhaustive, "_transitive_sizes", counting)
+    monkeypatch.setattr(exhaustive, "_acyclic_sizes", counting)
     assert not every_tournament_contains_tt(8, 5)
     assert sum(scored) < 1_347_840 // 4
 

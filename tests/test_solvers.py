@@ -18,6 +18,7 @@ from biramsey.model import (
     TransitiveWitness,
     digraph_to_coloring,
     pair_count,
+    pair_index,
     random_coloring,
     random_semicomplete,
 )
@@ -28,10 +29,12 @@ from biramsey.solvers import (
     BudgetExceeded,
     KindMismatch,
     SizeLimitExceeded,
+    _acyclic_sizes,
     _block_masks,
     _cell_instance,
     _check_oracle_pre,
     _mono_clique_sizes,
+    _subset_is_acyclic,
     _transitive_sizes,
     brute_force_F,
     brute_force_f,
@@ -414,6 +417,84 @@ def test_transitive_block_scorer_matches_into_mask_program(n, kind, seed):
         for row, size in zip(codes[:3], sizes):
             digraph = SemicompleteDigraph(n, row.astype(np.int8).tobytes())
             assert max_transitive_set_by_enumeration(digraph) == size
+
+
+def _pair_mask_sizes(n, red, blue, cap):
+    """Reference for ``_mono_clique_sizes``: one numpy pass per vertex set
+    and color, a set being a red (blue) clique iff its pair mask misses
+    ``blue`` (``red``), the pairs of that color only."""
+    sizes = np.full(len(red), min(n, 2), dtype=np.int8)
+    for k in range(3, min(n, cap) + 1):
+        found = np.zeros(len(red), dtype=bool)
+        for subset in combinations(range(n), k):
+            mask = sum(1 << pair_index(u, v, n) for u, v in combinations(subset, 2))
+            for color in (red, blue):
+                found |= (color & mask) == 0
+        if not found.any():
+            break
+        sizes += found
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ["tournament", "mixed", "sparse"])
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_clique_block_scorer_matches_pair_mask_pass(n, kind, seed):
+    # the same blocks as the transitive scorer's test, read as colorings:
+    # code 0 red, 1 blue, 2 both
+    rng = np.random.default_rng(seed)
+    for length in (0, 1, 37, 1000):
+        codes, red, blue = _pair_code_block(n, length, kind, rng)
+        for cap in range(2, n + 2):
+            sizes = _mono_clique_sizes(n, red, blue, cap)
+            assert sizes.dtype == np.int8
+            assert sizes.tolist() == _pair_mask_sizes(n, red, blue, cap).tolist()
+        # at cap n + 1 the sizes are exact
+        for row, size in zip(codes[:3], sizes):
+            graph = BicoloredGraph(n, row.astype(np.int8).tobytes())
+            assert max_mono_clique_by_enumeration(graph) == size
+
+
+@st.composite
+def _arc_blocks(draw):
+    """A block of digraphs on n <= 7 vertices, each pair drawn from no arc,
+    u -> v, v -> u and both (bit 0: u -> v, bit 1: v -> u), as arc rows
+    and as the missing-arc planes of ``_acyclic_sizes``, with a cap."""
+    n = draw(st.integers(1, 7))
+    pair = st.integers(0, 3)
+    rows = draw(st.lists(st.lists(pair, min_size=pair_count(n), max_size=pair_count(n)), max_size=12))
+    no_ahead, no_behind = (
+        [sum((~row[p] >> bit & 1) << i for i, row in enumerate(rows)) for p in range(pair_count(n))]
+        for bit in (0, 1)
+    )
+    return n, rows, no_ahead, no_behind, draw(st.integers(2, n + 1))
+
+
+def _acyclic_by_enumeration(n, arcs, cap):
+    """Largest acyclic vertex set of the digraph whose pair p carries the
+    arcs of ``arcs[p]``, with the kernel's floor of 2 and its cap."""
+    out = [0] * n
+    for (u, v), pair in zip(combinations(range(n), 2), arcs):
+        out[u] |= (pair & 1) << v
+        out[v] |= (pair >> 1) << u
+    best = max(mask.bit_count() for mask in range(1 << n) if _subset_is_acyclic(mask, out))
+    return min(max(best, min(n, 2)), cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arc_blocks())
+def test_acyclic_kernel_matches_subset_enumeration(block):
+    n, rows, no_ahead, no_behind, cap = block
+    sizes = _acyclic_sizes(n, len(rows), no_ahead, no_behind, cap)
+    assert sizes.dtype == np.int8
+    assert sizes.tolist() == [_acyclic_by_enumeration(n, row, cap) for row in rows]
+    # every arc both ways: the one-source shortcut, taken when the two
+    # plane lists are one object, equals the general loop on equal copies
+    neither = [a & b for a, b in zip(no_ahead, no_behind)]
+    shortcut = _acyclic_sizes(n, len(rows), neither, neither, cap)
+    assert shortcut.tolist() == _acyclic_sizes(n, len(rows), neither, list(neither), cap).tolist()
+    assert shortcut.tolist() == [_acyclic_by_enumeration(n, [3 * (p > 0) for p in row], cap) for row in rows]
 
 
 @settings(max_examples=120, deadline=None)
