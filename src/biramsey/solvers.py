@@ -300,19 +300,34 @@ class _AcyclicSolver:
     A node branches on the packed cycle with the fewest free (unforced)
     vertices, and its children are disjoint: the i-th deletes the i-th free
     vertex and forces the ones before it, so no acyclic set is searched
-    twice, and a cycle with one free vertex is a forced deletion.  A cycle
-    with no free vertex ends the branch, so a cyclic ``forced`` set finds
-    nothing.  The in-masks come from :func:`_transpose`, the mask helper
-    that also serves the strongly connected components (with
-    :func:`_reach`) and the topological order around the search.
+    twice.  Each vertex forced on the way deletes its *closers*, the free
+    vertices that would close a cycle with the forced set
+    (:meth:`_closers`): they are in no set the branch can return.  So no
+    free vertex closes a cycle with the forced set, which stays acyclic,
+    and every packed cycle has at least two free vertices; a ``forced`` set
+    that holds a cycle is caught while it is forced and finds nothing.  The
+    in-masks come from :func:`_transpose`, the mask helper that also serves
+    the strongly connected components (with :func:`_reach`) and the
+    topological order around the search.
     """
 
     def __init__(self, n: int, out: list[int]):
         self.n = n
         self.out = out
-        self.into = _transpose(out, (1 << n) - 1)
+        self.into = into = _transpose(out, (1 << n) - 1)
         self.nodes = 0
+        self.found = 0  # the set of the leaf that last raised the best size
         self._memo: dict[tuple[int, int], int] = {}
+        # each directed triangle s -> x -> y -> s under its smallest vertex s,
+        # in (x, y) order, with its vertex mask
+        self._triangles: list[list[tuple[int, tuple[int, int, int]]]] = []
+        for s in range(n):
+            above = -2 << s
+            self._triangles.append([
+                (1 << s | 1 << x | 1 << y, (s, x, y))
+                for x in _bits(out[s] & above)
+                for y in _bits(out[x] & into[s] & above)
+            ])
 
     def _core(self, mask: int) -> int:
         """What is left of ``mask`` after repeatedly deleting vertices with no
@@ -399,8 +414,31 @@ class _AcyclicSolver:
         each subtree's maximum, which a floor only loosens.
         """
         self._best = floor
+        placed = 0
+        for v in _bits(forced):
+            if not allowed >> v & 1:
+                return floor  # v is not allowed or closes a cycle with those before it
+            placed |= 1 << v
+            allowed &= ~self._closers(v, placed)
         self._search(allowed, forced)
         return self._best
+
+    def _closers(self, u: int, forced: int) -> int:
+        """The vertices w outside ``forced`` for which ``forced`` + w holds a
+        cycle through u, a vertex of ``forced``: w has an arc into a vertex
+        that reaches u inside ``forced`` and one from a vertex that u reaches.
+        Such a w is in no acyclic set that holds ``forced``.  A u with no
+        neighbour in ``forced`` has none, as one-way digraphs have no
+        2-cycles."""
+        out, into = self.out, self.into
+        if not (out[u] | into[u]) & forced:
+            return 0
+        tails = heads = 0
+        for x in _bits(_reach(into, 1 << u, forced)):
+            tails |= into[x]
+        for y in _bits(_reach(out, 1 << u, forced)):
+            heads |= out[y]
+        return tails & heads & ~forced
 
     def _cycle_packing(self, allowed: int, enough: int) -> list[tuple[int, ...]]:
         """Vertex-disjoint directed cycles, greedily shortest-first, stopping
@@ -409,14 +447,18 @@ class _AcyclicSolver:
         Each cycle is a shortest one of what is left, the first a
         breadth-first search from each vertex, smallest first, meets.  One-way
         digraphs carry at most one arc per pair, so the shortest possible
-        cycle is a triangle, read off the masks: from s the search reaches
-        the out-neighbours x of s in ascending order, then theirs, and the
-        first y with an arc back to s closes (s, x, y).  A vertex on no
-        triangle stays on none as the mask shrinks, so the triangle scan
-        resumes after the start of the last triangle; once no triangle is
-        left, :meth:`_longer_cycle` searches for the rest.
+        cycle is a triangle: from s the search reaches the out-neighbours x
+        of s in ascending order, then theirs, and the first y with an arc
+        back to s closes (s, x, y).  That is the first triangle of s in the
+        table, which lists each triangle under its smallest vertex in (x, y)
+        order, that lies inside what is left; a start with a triangle left
+        is its smallest vertex, as a smaller one would have been a start
+        with a triangle left.  A vertex on no triangle stays on none as the
+        mask shrinks, so the scan resumes after the start of the last
+        triangle; once no triangle is left, :meth:`_longer_cycle` searches
+        for the rest.
         """
-        out, into = self.out, self.into
+        triangles = self._triangles
         packing: list[tuple[int, ...]] = []
         mask = starts = allowed
         while len(packing) < enough:
@@ -424,15 +466,9 @@ class _AcyclicSolver:
             while starts and cycle is None:
                 bit = starts & -starts
                 starts ^= bit
-                s = bit.bit_length() - 1
-                back = into[s] & mask
-                ahead = out[s] & mask if back else 0
-                while ahead:
-                    x = (ahead & -ahead).bit_length() - 1
-                    ahead &= ahead - 1
-                    closing = out[x] & back
-                    if closing:
-                        cycle = (s, x, (closing & -closing).bit_length() - 1)
+                for vertices, triangle in triangles[bit.bit_length() - 1]:
+                    if vertices & mask == vertices:
+                        cycle = triangle
                         break
             if cycle is None:
                 cycle = self._longer_cycle(mask)
@@ -458,6 +494,7 @@ class _AcyclicSolver:
         packing = self._cycle_packing(allowed, size - self._best)
         if not packing:
             self._best = size
+            self.found = allowed
             self._memo[key] = size
             return
         if size - len(packing) <= self._best:
@@ -467,13 +504,14 @@ class _AcyclicSolver:
         branchable = min(
             ([v for v in cycle if not forced >> v & 1] for cycle in packing), key=len
         )
-        if not branchable:
-            return  # a cycle lies entirely inside the forced set
         # disjoint children: each S misses some free vertex of the cycle, and
         # the first one it misses is the one child that holds S
         for v in sorted(branchable):
             self._search(allowed & ~(1 << v), forced)
+            if not allowed >> v & 1:
+                break  # v closes a cycle with the forced set: no later child holds it
             forced |= 1 << v
+            allowed &= ~self._closers(v, forced)
         self._memo[key] = self._best
 
 
@@ -548,15 +586,17 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     pairs are unconstrained and ordered by vertex id).  Ties break to the
     lexicographically smallest vertex set.
 
-    Per strongly connected component, each witness decision is a search
-    against a floor of optimum - 1: it only asks whether an optimal acyclic
-    set holds the kept vertices and otherwise only higher ones.
+    Per strongly connected component, each witness decision asks whether
+    an optimal acyclic set holds the kept vertices and otherwise only
+    higher ones.  An optimal set found so far, the component's first or one
+    that answered an earlier decision, answers yes without a search;
+    otherwise the decision is a search against a floor of optimum - 1.
 
     The size cap guards memory-style blowup, not runtime: the search is
     exact on an NP-hard problem.  On one core of a 2-vCPU x86 host (seeds
-    1-3), random tournaments take about 0.06 s at n = 28 and 0.2 s at
-    n = 32, uniform random semicomplete digraphs 0.15-0.3 s at n = 32,
-    0.6-1.0 s at n = 36 and 1.7-2.3 s at the cap, n = 40.
+    1-3), random tournaments take about 0.04 s at n = 28 and 0.1 s at
+    n = 32, uniform random semicomplete digraphs 0.08-0.15 s at n = 32,
+    0.13-0.3 s at n = 36 and 0.4-0.9 s at the cap, n = 40.
     """
     if digraph.n > TRANSITIVE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}")
@@ -569,11 +609,18 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
             chosen |= comp
             continue
         target = solver.max_acyclic(comp)
-        chosen |= _lex_min_subset(
-            comp,
-            target,
-            lambda keep, higher: solver.max_acyclic(keep | higher, keep, target - 1) >= target,
-        )
+        optima = [solver.found]
+
+        def extends(keep: int, higher: int) -> bool:
+            # an optimum found so far answers yes without a search
+            if any(s & keep == keep and not s & ~(keep | higher) for s in optima):
+                return True
+            if solver.max_acyclic(keep | higher, keep, target - 1) < target:
+                return False
+            optima.append(solver.found)
+            return True
+
+        chosen |= _lex_min_subset(comp, target, extends)
     vertices = tuple(_bits(chosen))
     witness = TransitiveWitness(vertices, _topological_order(vertices, out))
     return SolveResult(len(vertices), witness, solver.nodes)
@@ -736,7 +783,9 @@ def _acyclic_sizes(n: int, count: int, no_ahead: list[int], no_behind: list[int]
     R into v" is that of R minus its lowest vertex u ANDed with "no arc
     u -> v".  Only the previous order's planes are kept, and the scan stops
     at the first order no digraph reaches.  If ``no_ahead is no_behind``,
-    every arc runs both ways and only the lowest vertex of S is tried.
+    every arc runs both ways and only the lowest vertex of S is tried.  A
+    2-set plane with every bit set, as each one of a one-way digraph is,
+    is stored as one shared int.
     """
     no_arc = [[0] * n for _ in range(n)]  # [tail][head]: no arc tail -> head
     for p, (u, v) in enumerate(iter_pairs(n)):
@@ -744,7 +793,11 @@ def _acyclic_sizes(n: int, count: int, no_ahead: list[int], no_behind: list[int]
     sources = 1 if no_ahead is no_behind else n
     sizes = np.full(count, min(n, 2), dtype=np.int8)
     no_in = {(v, 1 << u): no_arc[u][v] for u in range(n) for v in range(n) if u != v}
-    acyclic = {(1 << u) | (1 << v): no_arc[u][v] | no_arc[v][u] for u, v in iter_pairs(n)}
+    every = (1 << count) - 1
+    acyclic = {}
+    for u, v in iter_pairs(n):
+        plane = no_arc[u][v] | no_arc[v][u]
+        acyclic[(1 << u) | (1 << v)] = every if plane == every else plane
     for k in range(3, min(n, cap) + 1):
         level_in, level, found = {}, {}, 0
         for subset in combinations(range(n), k):

@@ -627,17 +627,19 @@ def test_node_counts_stay_modest_on_structured_instances(
     # packed cycle was branched on with the same forced set; 60, 427 and
     # 1053 with disjoint branching on the cycle with the fewest free
     # vertices; 92, 1024 and 1191 since the search starts from its floor
-    # instead of a greedy incumbent
+    # instead of a greedy incumbent; 74, 528 and 500 since forcing a vertex
+    # deletes the free vertices that close a cycle with the forced set and
+    # witness extraction reuses the optima it has found
     r = max_transitive_set(tournament_packing(14, 3).instance)
     assert r.nodes_explored < 100
     r = max_mono_clique(lex_clique_packing(16, 3).instance)
     assert r.nodes_explored < 10_000
     r = max_transitive_set(random_tournament(20, 99))
-    assert r.nodes_explored < 1_500
+    assert r.nodes_explored < 800
     # 3485 nodes when witness extraction searched each vertex for a true
     # maximum; deciding against a floor of target - 1 takes 2549
     r = max_transitive_set(sparse_semicomplete_28)
-    assert r.nodes_explored < 1_500
+    assert r.nodes_explored < 800
     # 9727 and 2994 nodes when blue and every clique extraction step were
     # full maximisations from 0; with the floors and ceilings, 3943 and 1059
     # on degeneracy-relabeled vertices, and 900 and 813 on the given labels;
@@ -672,12 +674,23 @@ def test_n64_clique_witness_is_pinned(sparse_coloring, m, size, vertices, color)
 def test_random_semicomplete_32_witness_is_pinned():
     # 231,754 nodes and about 2.4 s when every cycle vertex was branched on
     # with the same forced set, 14,316 with disjoint branching from a greedy
-    # incumbent, 14,935 from the floor; the witness has not moved since
+    # incumbent, 14,935 from the floor, 6,208 with closer deletion and found
+    # optima reused in witness extraction; the witness has not moved since
     r = max_transitive_set(random_semicomplete(32, 1))
     assert r.size == 13
     assert r.witness.vertices == (0, 1, 3, 4, 7, 8, 10, 11, 14, 17, 18, 21, 29)
     assert r.witness.order == (1, 7, 4, 3, 8, 21, 18, 17, 0, 29, 10, 11, 14)
-    assert r.nodes_explored < 40_000
+    assert r.nodes_explored < 7_000
+
+
+def test_random_semicomplete_36_witness_is_pinned():
+    # 32,733 nodes from the floor, 9,390 with closer deletion and found
+    # optima reused in witness extraction; the witness is the same
+    r = max_transitive_set(random_semicomplete(36, 1))
+    assert r.size == 16
+    assert r.witness.vertices == (2, 3, 4, 8, 9, 10, 11, 15, 17, 18, 19, 23, 24, 25, 28, 32)
+    assert r.witness.order == (8, 10, 3, 25, 32, 28, 15, 11, 9, 24, 17, 19, 2, 18, 23, 4)
+    assert r.nodes_explored < 10_500
 
 
 # --- acyclic branch and bound --------------------------------------------------
@@ -711,6 +724,77 @@ def test_acyclic_branching_is_disjoint_and_takes_the_freest_cycle():
     assert solver._best == 4
 
 
+def test_max_acyclic_deletes_a_closer_before_searching():
+    # the same triangles, 3 and 4 forced through max_acyclic: 5 closes the
+    # second triangle with them, so the search starts without it.  Forcing 0
+    # deletes nothing (no neighbour of 0 is forced); forcing 1 then deletes
+    # 2, which closes the first triangle, and the last child ends the loop
+    from biramsey.solvers import _AcyclicSolver, _one_way_out_masks
+
+    d = SemicompleteDigraph.from_arcs(6, {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)})
+    solver = _AcyclicSolver(6, _one_way_out_masks(d))
+    calls = []
+    search = solver._search
+
+    def recording(allowed, forced):
+        calls.append((allowed, forced))
+        search(allowed, forced)
+
+    solver._search = recording
+    assert solver.max_acyclic(0b111111, 0b011000) == 4
+    assert calls == [
+        (0b011111, 0b011000),
+        (0b011110, 0b011000),
+        (0b011101, 0b011001),
+        (0b011011, 0b011011),
+    ]
+
+
+@st.composite
+def _small_digraphs(draw):
+    """A digraph with n <= 9, a tournament or with any pair codes."""
+    n = draw(st.integers(1, 9))
+    pairs = pair_count(n)
+    code = st.integers(0, 1) if draw(st.booleans()) else st.integers(0, 2)
+    return SemicompleteDigraph(n, bytes(draw(st.lists(code, min_size=pairs, max_size=pairs))))
+
+
+@st.composite
+def _acyclic_forcings(draw):
+    """The out-masks of a small digraph and the vertices of an acyclic set
+    in a drawn order: each vertex of a drawn permutation prefix that keeps
+    the set acyclic."""
+    d = draw(_small_digraphs())
+    n = d.n
+    out = solvers._one_way_out_masks(d)
+    order, forced = [], 0
+    for v in draw(st.permutations(range(n)))[: draw(st.integers(0, n))]:
+        if _subset_is_acyclic(forced | 1 << v, out):
+            order.append(v)
+            forced |= 1 << v
+    return out, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_acyclic_forcings())
+def test_closers_are_the_free_vertices_that_close_a_cycle(case):
+    # forcing an acyclic set one vertex at a time, the closers returned on
+    # the way are exactly the vertices w outside it for which the set plus
+    # w holds a cycle
+    out, order = case
+    solver = solvers._AcyclicSolver(len(out), out)
+    forced = closers = 0
+    for v in order:
+        forced |= 1 << v
+        closers |= solver._closers(v, forced)
+    expected = sum(
+        1 << w
+        for w in range(len(out))
+        if not forced >> w & 1 and not _subset_is_acyclic(forced | 1 << w, out)
+    )
+    assert closers == expected
+
+
 def _max_acyclic_by_enumeration(out, allowed, forced):
     """Largest acyclic S with forced <= S <= allowed over every such S, -1
     if there is none."""
@@ -728,20 +812,17 @@ def _max_acyclic_by_enumeration(out, allowed, forced):
 
 @st.composite
 def _acyclic_queries(draw):
-    """A digraph with n <= 9, a tournament or with any pair codes, and a few
-    (allowed, forced, add a cycle, floor choice) queries."""
-    n = draw(st.integers(1, 9))
-    pairs = pair_count(n)
-    code = st.integers(0, 1) if draw(st.booleans()) else st.integers(0, 2)
-    codes = draw(st.lists(code, min_size=pairs, max_size=pairs))
-    full = (1 << n) - 1
+    """A small digraph and a few (allowed, forced, add a cycle, floor
+    choice) queries."""
+    d = draw(_small_digraphs())
+    full = (1 << d.n) - 1
     query = st.tuples(
         st.one_of(st.just(full), st.integers(0, full)),
         st.integers(0, full),
         st.booleans(),
         st.sampled_from((-1, 0, 1)),
     )
-    return SemicompleteDigraph(n, bytes(codes)), draw(st.lists(query, min_size=1, max_size=4))
+    return d, draw(st.lists(query, min_size=1, max_size=4))
 
 
 @settings(max_examples=150, deadline=None)
