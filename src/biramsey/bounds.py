@@ -290,9 +290,8 @@ def lll_condition(n: int, k: int) -> LocalLemmaCheck:
     if not (4 < k and k * k < n):
         raise ParameterOutOfRange(f"need 4 < k < sqrt(n), got k={k}, n={n}")
     probability = Fraction(factorial(k), 2 ** comb(k, 2))
+    # below 1 in range: n - 2k + 3 >= (k - 1)^2 + 3, so 3(n - 2k + 3) > (k - 2)^2
     ratio = Fraction((k - 2) ** 2, 3 * (n - 2 * k + 3))
-    if ratio >= 1:
-        raise ParameterOutOfRange("geometric majorization diverges at these parameters")
     dependency = comb(k, 2) * comb(n - k, k - 2) / (1 - ratio)
     holds = EULER_UPPER * (dependency + 1) * probability < 1
     return LocalLemmaCheck(holds, dependency, probability, ratio)

@@ -460,9 +460,8 @@ def mixed_digraph(n: int, k: int, gamma: "Fraction | int | float") -> Constructi
     large = extremal_tournament(k + 1)
     copies_small = int(n * gamma / small.order)
     copies_large = int(n * (1 - gamma) / large.order)
+    # the counts are floors, so covered <= n (the instance refuses n < 1)
     covered = copies_small * small.order + copies_large * large.order
-    if covered > n:
-        raise InfeasibleParams("copies do not fit")
     isolated = n - covered
     instance = _disjoint_union(
         n, [small.digraph] * copies_small + [large.digraph] * copies_large

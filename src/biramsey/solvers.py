@@ -26,8 +26,9 @@ outputs are reproducible across runs and platforms.
 
 Both branch-and-bound searches take a private ``floor``: a maximum at or
 below it reads as the floor, so a search that only has to beat a known
-size, or decide whether one is reached, prunes from the start.  The clique
-search also takes a ``ceiling``, a known upper bound at which it stops.
+size, or decide whether one is reached, prunes from the start.  Both also
+take a ``ceiling``, a known upper bound at which they stop.  Neither keeps
+a memo, so their memory does not grow with the nodes they visit.
 Both pick their witness with one loop, :func:`_lex_min_subset`, which asks
 each vertex in turn a yes/no question of the search.
 """
@@ -317,7 +318,7 @@ class _AcyclicSolver:
         self.into = into = _transpose(out, (1 << n) - 1)
         self.nodes = 0
         self.found = 0  # the set of the leaf that last raised the best size
-        self._memo: dict[tuple[int, int], int] = {}
+        self._ceiling = n
         # each directed triangle s -> x -> y -> s under its smallest vertex s,
         # in (x, y) order, with its vertex mask
         self._triangles: list[list[tuple[int, tuple[int, int, int]]]] = []
@@ -405,15 +406,19 @@ class _AcyclicSolver:
                 frontier = nxt
         return best
 
-    def max_acyclic(self, allowed: int, forced: int = 0, floor: int = -1) -> int:
+    def max_acyclic(
+        self, allowed: int, forced: int = 0, floor: int = -1, ceiling: int | None = None
+    ) -> int:
         """Max size of an acyclic S with forced <= S <= allowed; -1 if none.
 
         With a ``floor`` the search only decides whether some S is larger:
         a maximum at or below ``floor`` reads as ``floor``, and so does a
-        ``forced`` set that holds a cycle.  The memo keeps upper bounds on
-        each subtree's maximum, which a floor only loosens.
+        ``forced`` set that holds a cycle.  A ``ceiling`` must be a known
+        upper bound on the maximum; the search stops as soon as it finds an
+        S that large.
         """
         self._best = floor
+        self._ceiling = self.n if ceiling is None else ceiling
         placed = 0
         for v in _bits(forced):
             if not allowed >> v & 1:
@@ -485,20 +490,14 @@ class _AcyclicSolver:
         size = allowed.bit_count()
         if size <= self._best:
             return
-        key = (allowed, forced)
-        cached = self._memo.get(key)
-        if cached is not None and cached <= self._best:
-            return
         # every packed cycle costs at least one deletion, so size - best
         # cycles are enough to prune
         packing = self._cycle_packing(allowed, size - self._best)
         if not packing:
             self._best = size
             self.found = allowed
-            self._memo[key] = size
             return
         if size - len(packing) <= self._best:
-            self._memo[key] = max(self._memo.get(key, -1), size - len(packing))
             return
         # the packed cycle with the fewest free (unforced) vertices
         branchable = min(
@@ -508,11 +507,12 @@ class _AcyclicSolver:
         # the first one it misses is the one child that holds S
         for v in sorted(branchable):
             self._search(allowed & ~(1 << v), forced)
+            if self._best >= self._ceiling:
+                return
             if not allowed >> v & 1:
                 break  # v closes a cycle with the forced set: no later child holds it
             forced |= 1 << v
             allowed &= ~self._closers(v, forced)
-        self._memo[key] = self._best
 
 
 def _one_way_out_masks(digraph: SemicompleteDigraph) -> list[int]:
@@ -590,13 +590,15 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     an optimal acyclic set holds the kept vertices and otherwise only
     higher ones.  An optimal set found so far, the component's first or one
     that answered an earlier decision, answers yes without a search;
-    otherwise the decision is a search against a floor of optimum - 1.
+    otherwise the decision searches between a floor of optimum - 1 and a
+    ceiling of the optimum.
 
-    The size cap guards memory-style blowup, not runtime: the search is
-    exact on an NP-hard problem.  On one core of a 2-vCPU x86 host (seeds
-    1-3), random tournaments take about 0.04 s at n = 28 and 0.1 s at
-    n = 32, uniform random semicomplete digraphs 0.08-0.15 s at n = 32,
-    0.13-0.3 s at n = 36 and 0.4-0.9 s at the cap, n = 40.
+    The size cap bounds runtime, not memory: the search is exact on an
+    NP-hard problem.  On one core of a 2-vCPU x86 host (seeds 1-3), random
+    tournaments take 0.03-0.04 s at n = 28 and 0.07-0.09 s at n = 32,
+    uniform random semicomplete digraphs 0.08-0.13 s at n = 32, 0.13-0.25 s
+    at n = 36 and 0.35-0.55 s at the cap, n = 40, where the traced peak of
+    Python allocations is 0.05-0.07 MB.
     """
     if digraph.n > TRANSITIVE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}")
@@ -615,7 +617,7 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
             # an optimum found so far answers yes without a search
             if any(s & keep == keep and not s & ~(keep | higher) for s in optima):
                 return True
-            if solver.max_acyclic(keep | higher, keep, target - 1) < target:
+            if solver.max_acyclic(keep | higher, keep, target - 1, target) < target:
                 return False
             optima.append(solver.found)
             return True

@@ -226,6 +226,26 @@ def test_lower_bound_formulas_range_checks():
         lower_bound_formulas(4, 7)
 
 
+@pytest.mark.parametrize(
+    "evaluate, args",
+    [
+        (classic_bounds, (1,)),
+        (first_moment_bound, (Fraction(1, 2), 1)),
+        (blowup_bound, (0, 8)),
+        (hypergeometric_pmf, (3, 4, 1)),
+        (binomial_pmf, (3, Fraction(3, 2))),
+        (moment_compare, (8, 4, 4, Fraction(1, 2))),  # base below 1
+        (moment_compare, (0, 0, 0, 2)),  # empty population
+        (binomial_moment_identity, (8, 4, 4, 5)),  # k above the draws
+        (lower_bound_formulas, (0, 0)),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_evaluators_refuse_parameters_out_of_range(evaluate, args):
+    with pytest.raises(ParameterOutOfRange):
+        evaluate(*args)
+
+
 def test_oracle_values_respect_formula_bounds(oracle_grid):
     grid, _ = oracle_grid
     for (n, m), (f_val, big_f) in grid.items():

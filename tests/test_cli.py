@@ -227,6 +227,12 @@ def test_bound_tables():
     assert code == 0
     assert "hypergeometric_moment,13/6" in out
     assert "inequality_holds,true" in out
+    code, out, _ = run_cli(["bound", "moment-identity", "--population", "8",
+                            "--successes", "4", "--draws", "4", "--k", "2"])
+    assert code == 0
+    assert out.splitlines() == [
+        "quantity,value", "summed,9/7", "closed_form,9/7", "identity_holds,true",
+    ]
     code, out, _ = run_cli(["bound", "lll-threshold", "--n", "1000000"])
     assert "local-lemma-upper,upper,true,39" in out
     code, out, _ = run_cli(["bound", "atlas", "--n-max", "4"])

@@ -215,6 +215,23 @@ def test_mixed_digraph_degenerate_weights():
         mixed_digraph(20, 4, Fraction(1, 2))  # k+1 = 5 unsupported
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (triangle_digraph, (4, 5)),  # five arcs leave two past the one triangle
+        (mixed_coloring, (16, 3, Fraction(3, 10))),  # too few blocks to transpose
+        (blowup, (5, 0)),
+        (lex_clique_packing, (4, -1)),
+        (mixed_digraph, (9, 1, Fraction(1, 2))),  # k below 2
+        (mixed_digraph, (9, 2, Fraction(3, 2))),  # gamma above 1
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_builders_refuse_infeasible_parameters(build, args):
+    with pytest.raises(InfeasibleParams):
+        build(*args)
+
+
 def test_verify_claims_detects_tampering():
     cert = triangle_digraph(9, 9)
     assert verify_claims(cert.instance, 9, 6, True) == []

@@ -83,6 +83,12 @@ def test_runs_are_always_valid():
         assert induces_forest(g, aks_run(g, seed))
 
 
+def test_induces_forest_rejects_a_triangle():
+    triangle = [0b110, 0b101, 0b011]
+    assert not induces_forest(triangle, range(3))
+    assert induces_forest(triangle, range(2))
+
+
 def caro_wei_sum(graph):
     """The classical sum 1/(d_i + 1), written out independently."""
     return sum(Fraction(1, d + 1) for d in degrees(graph))

@@ -290,6 +290,11 @@ def test_serialize_uses_lf_and_lex_order():
     assert body == list(iter_pairs(5))
 
 
+def test_serialize_rejects_a_non_instance():
+    with pytest.raises(TypeError):
+        serialize_instance("x")
+
+
 # --- differential parse: the lean pass against the per-line parser ---------
 
 
@@ -640,6 +645,8 @@ def test_witness_invariants():
         MonoCliqueWitness((0, 1), EdgeColor.RED_BLUE)
     with pytest.raises(ValueError):
         TransitiveWitness((0, 1), (0, 2))
+    with pytest.raises(ValueError):
+        TransitiveWitness((1, 0), (0, 1))
 
 
 # --- property tests ----------------------------------------------------------

@@ -96,6 +96,8 @@ def test_empty_slice_and_unknown_family_are_rejected():
         oracle_cell_slice(4, 2, "coloring", 3, 3)
     with pytest.raises(ValueError):
         oracle_cell_slice(4, 2, "hypergraph", 0, 1)
+    with pytest.raises(ValueError):
+        brute_force_f(0, 0)
 
 
 def test_six_vertex_anchors():

@@ -1,6 +1,7 @@
 """Exact solvers against independent subset-enumeration oracles."""
 
 import heapq
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -529,6 +530,10 @@ def test_verify_witness_examples():
     cyc = SemicompleteDigraph.from_arcs(3, {(0, 1), (1, 2), (2, 0)})
     assert not verify_witness(cyc, TransitiveWitness((0, 1, 2), (0, 1, 2)))
     assert verify_witness(cyc, TransitiveWitness((0, 1), (0, 1)))
+    with pytest.raises(ValueError):
+        verify_witness(all_red, MonoCliqueWitness((0, 4), EdgeColor.RED))
+    with pytest.raises(ValueError):
+        verify_witness(cyc, TransitiveWitness((0, 3), (0, 3)))
 
 
 def test_verify_witness_kind_mismatch():
@@ -629,7 +634,8 @@ def test_node_counts_stay_modest_on_structured_instances(
     # vertices; 92, 1024 and 1191 since the search starts from its floor
     # instead of a greedy incumbent; 74, 528 and 500 since forcing a vertex
     # deletes the free vertices that close a cycle with the forced set and
-    # witness extraction reuses the optima it has found
+    # witness extraction reuses the optima it has found; 60, 521 and 499
+    # since witness decisions stop at a ceiling, with no memo
     r = max_transitive_set(tournament_packing(14, 3).instance)
     assert r.nodes_explored < 100
     r = max_mono_clique(lex_clique_packing(16, 3).instance)
@@ -675,7 +681,8 @@ def test_random_semicomplete_32_witness_is_pinned():
     # 231,754 nodes and about 2.4 s when every cycle vertex was branched on
     # with the same forced set, 14,316 with disjoint branching from a greedy
     # incumbent, 14,935 from the floor, 6,208 with closer deletion and found
-    # optima reused in witness extraction; the witness has not moved since
+    # optima reused in witness extraction, 6,190 without the memo and with
+    # witness decisions stopping at a ceiling; the witness has not moved since
     r = max_transitive_set(random_semicomplete(32, 1))
     assert r.size == 13
     assert r.witness.vertices == (0, 1, 3, 4, 7, 8, 10, 11, 14, 17, 18, 21, 29)
@@ -685,8 +692,18 @@ def test_random_semicomplete_32_witness_is_pinned():
 
 def test_random_semicomplete_36_witness_is_pinned():
     # 32,733 nodes from the floor, 9,390 with closer deletion and found
-    # optima reused in witness extraction; the witness is the same
-    r = max_transitive_set(random_semicomplete(36, 1))
+    # optima reused in witness extraction, and still 9,390 without the memo;
+    # the witness is the same.  The solve's memory does not grow with its
+    # node count: about 1.07 MB at peak with a memo entry per node, 0.04 MB
+    # without
+    digraph = random_semicomplete(36, 1)
+    tracemalloc.start()
+    try:
+        r = max_transitive_set(digraph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000
     assert r.size == 16
     assert r.witness.vertices == (2, 3, 4, 8, 9, 10, 11, 15, 17, 18, 19, 23, 24, 25, 28, 32)
     assert r.witness.order == (8, 10, 3, 25, 32, 28, 15, 11, 9, 24, 17, 19, 2, 18, 23, 4)
@@ -813,7 +830,7 @@ def _max_acyclic_by_enumeration(out, allowed, forced):
 @st.composite
 def _acyclic_queries(draw):
     """A small digraph and a few (allowed, forced, add a cycle, floor
-    choice) queries."""
+    choice, ceiling choice) queries."""
     d = draw(_small_digraphs())
     full = (1 << d.n) - 1
     query = st.tuples(
@@ -821,6 +838,7 @@ def _acyclic_queries(draw):
         st.integers(0, full),
         st.booleans(),
         st.sampled_from((-1, 0, 1)),
+        st.sampled_from((None, 0, 1)),
     )
     return d, draw(st.lists(query, min_size=1, max_size=4))
 
@@ -828,16 +846,18 @@ def _acyclic_queries(draw):
 @settings(max_examples=150, deadline=None)
 @given(_acyclic_queries())
 def test_max_acyclic_matches_subset_enumeration(case):
-    # floor choice -1 is no floor, 0 the optimum minus one, 1 the optimum.
-    # One solver answers every query, so its memo carries over as between
-    # witness extraction steps.  The search starts from the floor, so it has
-    # to find the optimum on its own; a forced cycle reads as the floor, -1.
+    # floor choice -1 is no floor, 0 the optimum minus one, 1 the optimum;
+    # ceiling choice None is no ceiling, 0 the optimum, 1 the optimum plus
+    # one.  One solver answers every query, as in witness extraction, so no
+    # query may depend on state left by the one before.  The search starts
+    # from the floor, so it has to find the optimum on its own; a forced
+    # cycle reads as the floor, -1.
     from biramsey.solvers import _AcyclicSolver, _one_way_out_masks
 
     d, queries = case
     out = _one_way_out_masks(d)
     solver = _AcyclicSolver(d.n, out)
-    for allowed, forced, add_cycle, floor_choice in queries:
+    for allowed, forced, add_cycle, floor_choice, ceiling_choice in queries:
         forced &= allowed
         cycle = _reference_shortest_cycle(out, allowed) if add_cycle else None
         if cycle is not None:
@@ -846,7 +866,33 @@ def test_max_acyclic_matches_subset_enumeration(case):
         if cycle is not None:
             assert opt == -1  # the forced set holds a cycle
         floor = -1 if floor_choice < 0 or opt < 0 else opt - 1 + floor_choice
-        assert solver.max_acyclic(allowed, forced, floor) == max(opt, floor)
+        ceiling = None if ceiling_choice is None or opt < 0 else opt + ceiling_choice
+        assert solver.max_acyclic(allowed, forced, floor, ceiling) == max(opt, floor)
+        if ceiling == opt and opt > floor:
+            # the ceiling stopped the search at the set that reached it
+            found = solver.found
+            assert found.bit_count() == opt and _subset_is_acyclic(found, out)
+            assert found & forced == forced and not found & ~allowed
+
+
+@pytest.mark.parametrize("n, seed", [(12, 1), (12, 2), (12, 3), (14, 1), (14, 2), (14, 3)])
+def test_max_acyclic_stops_at_its_ceiling(n, seed):
+    # the drawn queries above seldom branch; these whole digraphs do.  With
+    # the optimum as its ceiling, from no floor and from optimum - 1, the
+    # search still returns the optimum and a found set of that size, and it
+    # takes fewer nodes than without the ceiling
+    from biramsey.solvers import _AcyclicSolver, _one_way_out_masks
+
+    out = _one_way_out_masks(random_semicomplete(n, seed))
+    full = (1 << n) - 1
+    opt = _max_acyclic_by_enumeration(out, full, 0)
+    for floor in (-1, opt - 1):
+        free = _AcyclicSolver(n, out)
+        assert free.max_acyclic(full, 0, floor) == opt
+        capped = _AcyclicSolver(n, out)
+        assert capped.max_acyclic(full, 0, floor, opt) == opt
+        assert capped.found.bit_count() == opt and _subset_is_acyclic(capped.found, out)
+        assert capped.nodes < free.nodes
 
 
 # --- cycle search --------------------------------------------------------------
