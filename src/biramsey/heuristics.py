@@ -23,16 +23,21 @@ numpy SeedSequence, so parallel trials reproduce serial results exactly.
 Best-of-trials scores its trials in numpy blocks on those same permutations,
 so its sets and means equal the one-trial-at-a-time rule; prefix bitsets
 over the permutation positions count earlier neighbours in n * ceil(n / 64)
-uint64 words per trial at any density.  It derives the PCG64 states of
-split(seed, i) in bulk (SeedSequence's uint32 hash run over arrays of i) and
-sets them on one reused Generator; each call checks trial 0's state against
-``default_rng(split_seed(seed, 0))``.  Trial indices are one 32-bit word, so
-best-of-trials takes fewer than 2^32 trials.
+uint64 words per trial at any density, and only the trials that tie for
+the top size are mapped back to vertices.  It derives the PCG64 states of
+split(seed, i) in bulk (SeedSequence's uint32 hash and PCG64's 128-bit
+seeding step run over arrays of i) and writes each in place into one reused
+Generator's C state.  Each call checks trial 0's state against
+``default_rng(split_seed(seed, 0))``, reads the order of the state words in
+memory off it, and reads trial 1's write back through ``bit_generator.state``.
+Trial indices are one 32-bit word, so best-of-trials takes fewer than 2^32
+trials.
 All expectations are exact rationals; guarantee comparisons are decidable.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,7 +96,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
 _SEED_CHUNK = 1 << 12  # trials whose streams are derived together
 
 
@@ -121,9 +126,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def _pcg64_states(seed: int, first: int, count: int) -> Iterator[tuple[int, int]]:
-    """(state, inc) of PCG64 seeded from split_seed(seed, i), for i in
-    first .. first + count - 1 (all below 2^32).
+def _pcg64_states(seed: int, first: int, count: int) -> np.ndarray:
+    """PCG64 states of split_seed(seed, i), for i in first .. first + count - 1
+    (all below 2^32), as a (count, 4) uint64 array: state low, state high,
+    inc low, inc high.
 
     SeedSequence hashes its entropy words (the seed's words padded to the
     pool size, then the spawn-key word i) into a pool of four words and
@@ -146,36 +152,97 @@ def _pcg64_states(seed: int, first: int, count: int) -> Iterator[tuple[int, int]
     hash_word = _hasher(_INIT_B, _MULT_B)
     out = [hash_word(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
     # little-endian word pairs give seed high, seed low, inc high, inc low
-    halves = [(out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)]
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        yield ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128, inc
+    return _pcg64_seed_step(*(out[2 * j] | out[2 * j + 1] << 32 for j in range(4)))
+
+
+def _mul_hi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    low, cross, mid = a0 * b0, a1 * b0, a0 * b1
+    carry = (low >> 32) + (cross & _MASK32) + (mid & _MASK32)
+    return a1 * b1 + (cross >> 32) + (mid >> 32) + (carry >> 32)
+
+
+def _pcg64_seed_step(
+    seed_hi: np.ndarray, seed_lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+) -> np.ndarray:
+    """PCG64's seeding step on uint64 word pairs: inc = 2 inc + 1 and
+    state = (inc + seed) * _PCG_MULT + inc, both mod 2^128; the words of
+    state and inc, low first, as the columns of a uint64 array."""
+    mult_lo, mult_hi = np.uint64(_PCG_MULT & _MASK64), np.uint64(_PCG_MULT >> 64)
+    inc_hi = inc_hi << 1 | inc_lo >> 63
+    inc_lo = inc_lo << 1 | 1
+    sum_lo = inc_lo + seed_lo
+    sum_hi = inc_hi + seed_hi + (sum_lo < inc_lo)
+    # the product mod 2^128 drops sum_hi * mult_hi and the high halves of
+    # the cross terms
+    state_hi = _mul_hi(sum_lo, mult_lo) + sum_lo * mult_hi + sum_hi * mult_lo
+    state_lo = sum_lo * mult_lo + inc_lo
+    state_hi += inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_value(words: np.ndarray) -> dict:
+    """``bit_generator.state`` of a PCG64 at the (state, inc) words of
+    :func:`_pcg64_states`, with no half draw buffered."""
+    state_lo, state_hi, inc_lo, inc_hi = words.tolist()
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+class _PCG64State(ctypes.Structure):
+    """numpy's C ``pcg64_state``: a pointer to the four uint64 words of the
+    128-bit state and increment, then a buffered half of a 64-bit draw."""
+
+    _fields_ = [
+        ("words", ctypes.POINTER(ctypes.c_uint64)),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+def _word_layout(memory: np.ndarray, words: np.ndarray) -> list[int]:
+    """Index into ``words`` of each word in ``memory``, which must hold the
+    same four distinct words in some order."""
+    memory_words, derived = memory.tolist(), words.tolist()
+    if sorted(memory_words) != sorted(derived) or len(set(derived)) != len(derived):
+        raise AssertionError("PCG64 state memory is not a permutation of its four words")
+    return [derived.index(w) for w in memory_words]
 
 
 def _trial_generators(seed: int, trials: int) -> Iterator[np.random.Generator]:
     """Generators of split(seed, 0), ..., split(seed, trials - 1), in order.
 
-    One Generator is reused: before each yield it is set to the next
-    trial's PCG64 state, derived in bulk by :func:`_pcg64_states`, so draw
-    from it before advancing.  Trial 0 is built by ``default_rng`` (which
-    also rejects a negative seed) and cross-checks the derivation.
+    One Generator is reused: before each yield the next trial's PCG64 state,
+    derived in bulk by :func:`_pcg64_states`, is written into the generator's
+    C state, so draw from it before advancing.  Trial 0 is built by
+    ``default_rng`` (which also rejects a negative seed); it cross-checks
+    the derivation, and the order of the four words in memory is read off
+    it.  Every write clears the buffered half draw, and trial 1's write is
+    read back through ``bit_generator.state``.
     """
     rng = np.random.default_rng(split_seed(seed, 0))
     bit_generator = rng.bit_generator
+    state = _PCG64State.from_address(bit_generator.ctypes.state_address)
+    memory = np.ctypeslib.as_array(state.words, shape=(4,))
     for first in range(0, trials, _SEED_CHUNK):
-        count = min(_SEED_CHUNK, trials - first)
-        for i, (state, inc) in enumerate(_pcg64_states(seed, first, count), first):
-            value = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            if i == 0:
-                if bit_generator.state != value:
-                    raise AssertionError("bulk seed derivation disagrees with split_seed")
-            else:
-                bit_generator.state = value
+        derived = _pcg64_states(seed, first, min(_SEED_CHUNK, trials - first))
+        if first == 0:
+            if bit_generator.state != _state_value(derived[0]):
+                raise AssertionError("bulk seed derivation disagrees with split_seed")
+            layout = _word_layout(memory, derived[0])
+        # trial 0's write puts back the words it was read from
+        for i, words in enumerate(derived[:, layout], first):
+            memory[...] = words
+            state.has_uint32 = 0
+            state.uinteger = 0
+            if i == 1 and bit_generator.state != _state_value(derived[1 - first]):
+                raise AssertionError("PCG64 state write does not read back")
             yield rng
 
 
@@ -307,12 +374,15 @@ def _planes(masks: Sequence[int]) -> np.ndarray:
 
 def _kept_blocks(
     graph: Sequence[int], trials: int, seed: int, max_earlier: int
-) -> Iterator[np.ndarray]:
-    """Kept-vertex masks of the earlier-neighbor rule, one block at a time.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Orders and kept positions of the earlier-neighbor rule, one block at
+    a time.
 
-    Yields bool arrays of shape (trials in block, n); row r of the block
-    starting at trial lo is :func:`_select_by_earlier_neighbors` on the
-    permutation drawn from split(seed, lo + r).  The graph is held as
+    Yields (order, kept) arrays of shape (trials in block, n): row r of the
+    block starting at trial lo is the permutation drawn from
+    split(seed, lo + r), and kept[r, k] says whether its vertex order[r, k]
+    is kept, so the kept vertices of row r are those of
+    :func:`_select_by_earlier_neighbors`.  The graph is held as
     words = ceil(n / 64) uint64 planes, and a block as at most
     ``_ORACLE_BLOCK`` trial x vertex x word entries.  OR-accumulating the
     one-bit sets of a trial's order gives each position k the set of
@@ -332,9 +402,7 @@ def _kept_blocks(
         seen = np.bitwise_or.accumulate(singletons.take(order, axis=1), axis=2)
         seen &= adjacency.take(order, axis=1)
         earlier = np.bitwise_count(seen).sum(axis=0, dtype=np.min_scalar_type(n))  # counts < n
-        kept = np.empty(order.shape, dtype=bool)
-        kept[np.arange(len(order))[:, None], order] = earlier <= max_earlier
-        yield kept
+        yield order, earlier <= max_earlier
 
 
 def _best_of_trials(
@@ -343,7 +411,9 @@ def _best_of_trials(
     """Best kept set and mean kept size over ``trials`` seeded trials.
 
     The best set is the largest, then the lexicographically smallest, the
-    same set a serial fold over the trials in order would keep.
+    same set a serial fold over the trials in order would keep.  Sizes are
+    counted on the kept positions; only the trials that tie for a block's
+    top size are mapped back to sorted vertex tuples.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -351,12 +421,15 @@ def _best_of_trials(
         raise ValueError("trials must be below 2^32")
     best: tuple[int, ...] = ()
     total = 0
-    for kept in _kept_blocks(graph, trials, seed, max_earlier):
-        sizes = kept.sum(axis=1)
+    for order, kept in _kept_blocks(graph, trials, seed, max_earlier):
+        sizes = np.count_nonzero(kept, axis=1)
         total += int(sizes.sum())
         top = int(sizes.max())
         if top >= len(best):
-            run = min(tuple(np.flatnonzero(row).tolist()) for row in kept[sizes == top])
+            tied = sizes == top
+            # each tied set sorted, its dropped positions as n past the end
+            runs = np.sort(np.where(kept[tied], order[tied], len(graph)), axis=1)
+            run = min(map(tuple, runs[:, :top].tolist()))
             best = run if top > len(best) else min(best, run)
     return best, Fraction(total, trials)
 

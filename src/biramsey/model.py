@@ -22,7 +22,7 @@ with S in {R, B, RB} for colorings and {>, <, <>} for digraphs.  Input
 line order is free; serialization is canonical (pairs in lexicographic
 order) so serialized instances diff cleanly.  Parsing reads a file in the
 strict grammar serialization writes (single spaces, no comments or blank
-lines) in one numpy pass over its bytes; any other spelling the format
+lines but trailing ones) in one numpy pass over its bytes; any other spelling the format
 allows, and every error message, comes from one per-line routine.
 
 Everything else is derived from the codes: ``states`` (the enum members),
@@ -394,7 +394,7 @@ def parse_instance(text: str) -> Instance:
 
     A file in the strict grammar that serialization writes (ASCII, header on
     line 1, no comments, each pair line exactly ``u SP v SP S LF``, the last
-    LF optional) is read in one numpy pass over its bytes.  Every other file,
+    LF optional, any further LFs at the end ignored) is read in one numpy pass over its bytes.  Every other file,
     and every file that pass rejects, is read one line at a time, which
     accepts every spelling the format allows and names the first error.
     """
@@ -473,6 +473,9 @@ def _parse_strict(text: str) -> "tuple[str, int, bytes] | None":
     data = text.encode("ascii")
     if not data.endswith(b"\n"):
         data += b"\n"
+    # trailing blank lines are left out of the body; only a file that has
+    # them pays for finding where they start
+    end = len(data.rstrip(b"\n")) + 1 if data.endswith(b"\n\n") else len(data)
     start = data.index(b"\n") + 1
     header = data[: start - 1].decode()
     family, *count = header.split(" ")
@@ -484,7 +487,7 @@ def _parse_strict(text: str) -> "tuple[str, int, bytes] | None":
         return None
     _check_vertex_count(n, 1, header)
     pairs = pair_count(n)
-    body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    body = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
     if np.count_nonzero(body == ord("\n")) != pairs:
         return None
     if not pairs:

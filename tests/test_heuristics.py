@@ -1,7 +1,7 @@
 """Permutation heuristics: per-run validity and exact expectations."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -317,14 +317,15 @@ def test_block_engine_matches_serial_rule(monkeypatch, block, max_earlier):
             continue  # a block boundary this far out is covered at block=64
         seed = 1000 + index
         for trials in sorted({1, max(1, per_block - 1), per_block + 1}):
-            kept = np.concatenate(
-                list(heuristics._kept_blocks(g, trials, seed, max_earlier))
-            )
-            assert kept.shape == (trials, len(g))
-            for i, row in enumerate(kept):
+            blocks = list(heuristics._kept_blocks(g, trials, seed, max_earlier))
+            orders = np.concatenate([order for order, _ in blocks])
+            kept = np.concatenate([kept for _, kept in blocks])
+            assert kept.shape == orders.shape == (trials, len(g))
+            for i, (row, keep) in enumerate(zip(orders, kept)):
                 order = _permutation(len(g), split_seed(seed, i))
+                assert row.tolist() == order
                 expected = _select_by_earlier_neighbors(order, g, max_earlier)
-                assert tuple(np.flatnonzero(row).tolist()) == expected
+                assert tuple(sorted(row[keep].tolist())) == expected
             assert heuristics._best_of_trials(
                 g, trials, seed, max_earlier
             ) == _serial_best_of_trials(g, trials, seed, max_earlier)
@@ -371,12 +372,90 @@ def test_bulk_streams_check_trial_0(monkeypatch):
     derive = heuristics._pcg64_states
 
     def off_by_one(seed, first, count):
-        for state, inc in derive(seed, first, count):
-            yield state ^ 1, inc
+        states = derive(seed, first, count)
+        if first == 0:
+            states[0, 0] ^= 1  # bit 0 of trial 0's low state word
+        return states
 
     monkeypatch.setattr(heuristics, "_pcg64_states", off_by_one)
     with pytest.raises(AssertionError):
         next(heuristics._trial_generators(5, 3))
+
+
+def test_bulk_streams_read_back_trial_1(monkeypatch):
+    layout = heuristics._word_layout
+
+    def swapped(memory, words):
+        order = layout(memory, words)
+        order[0], order[1] = order[1], order[0]
+        return order
+
+    monkeypatch.setattr(heuristics, "_word_layout", swapped)
+    streams = heuristics._trial_generators(5, 3)
+    next(streams)  # trial 0 is default_rng's own state
+    with pytest.raises(AssertionError, match="read back"):
+        next(streams)
+
+
+def test_word_layout_refuses_other_words():
+    words = np.array([1, 2, 3, 4], dtype=np.uint64)
+    assert heuristics._word_layout(words[[2, 0, 3, 1]], words) == [2, 0, 3, 1]
+    for memory in ([1, 2, 3, 5], [1, 1, 3, 4]):
+        with pytest.raises(AssertionError):
+            heuristics._word_layout(np.array(memory, dtype=np.uint64), words)
+    with pytest.raises(AssertionError):  # repeated words leave the order open
+        heuristics._word_layout(words[[0, 0, 2, 3]], words[[0, 0, 2, 3]])
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_bulk_streams_clear_a_buffered_half_draw(seed):
+    streams = heuristics._trial_generators(seed, 4)
+    for i, rng in enumerate(streams):
+        if i % 2 == 0:
+            # one 32-bit draw leaves the other half of a 64-bit draw buffered
+            rng.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        else:
+            reference = np.random.default_rng(split_seed(seed, i))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.permutation(33).tolist() == reference.permutation(33).tolist()
+    assert i == 3
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _python_seed_step(seed_hi, seed_lo, inc_hi, inc_lo):
+    """PCG64's seeding step on Python ints: (state, inc) mod 2^128."""
+    mask = (1 << 128) - 1
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & mask
+    return ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & mask, inc
+
+
+def _as_state_inc(words):
+    state_lo, state_hi, inc_lo, inc_hi = (int(w) for w in words)
+    return state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_bulk_seed_step_matches_python_ints(seed):
+    chunk = heuristics._SEED_CHUNK
+    # the first trials, both sides of a chunk boundary, the top spawn keys
+    for first, count in ((0, 3), (chunk - 2, 4), (2**32 - 3, 3)):
+        states = heuristics._pcg64_states(seed, first, count)
+        assert states.shape == (count, 4) and states.dtype == np.uint64
+        for i, words in enumerate(states, first):
+            # PCG64 seeds from 4 uint64s: seed high, seed low, inc high, inc low
+            seed_words = split_seed(seed, i).generate_state(4, np.uint64).tolist()
+            assert _as_state_inc(words) == _python_seed_step(*seed_words)
+
+
+def test_bulk_seed_step_carries_at_word_edges():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+    rows = np.array(list(product(edges, repeat=4)), dtype=np.uint64)
+    states = heuristics._pcg64_seed_step(*rows.T)
+    for row, words in zip(rows.tolist(), states):
+        assert _as_state_inc(words) == _python_seed_step(*row)
 
 
 def test_trials_must_be_below_2_to_the_32():

@@ -484,8 +484,8 @@ def test_parse_matches_the_per_line_parser():
 
 
 def _spellings(text, rng):
-    """Spellings of one canonical file: all but the trailing blank line
-    stay in the strict grammar."""
+    """Spellings of one canonical file: all but the leading comment stay in
+    the strict grammar."""
     head, *body = text.splitlines()
     shuffled = [body[i] for i in rng.permutation(len(body))]
     padded = []
@@ -499,6 +499,8 @@ def _spellings(text, rng):
         ("leading zeros", "\n".join([head, *padded]) + "\n"),
         ("no final newline", text[:-1]),
         ("trailing blank line", text + "\n"),
+        ("trailing blank lines", text + "\n\n\n"),
+        ("leading comment", "# c\n" + text),
     ]
 
 
@@ -520,7 +522,7 @@ def test_parse_matches_the_per_line_parser_across_id_widths(n, per_line_calls):
         for name, variant in _spellings(text, rng):
             calls = len(per_line_calls)
             assert parse_instance(variant) == _per_line_parse(variant) == inst, name
-            assert len(per_line_calls) - calls == (name == "trailing blank line"), name
+            assert len(per_line_calls) - calls == (name == "leading comment"), name
         for broken in _mutations(text):
             with pytest.raises(InstanceFormatError) as expected:
                 _per_line_parse(broken)
@@ -578,6 +580,18 @@ def test_canonical_files_never_reach_the_per_line_routine(per_line_calls):
     for inst in (random_coloring(64, 1), random_semicomplete(64, 2)):
         assert parse_instance(serialize_instance(inst)) == inst
     assert not per_line_calls
+
+
+@pytest.mark.parametrize("blank", [1, 2, 7])
+def test_trailing_blank_lines_stay_in_the_strict_grammar(blank, per_line_calls):
+    for inst in (random_coloring(30, 1), random_semicomplete(30, 2), random_coloring(1, 0)):
+        text = serialize_instance(inst)
+        assert parse_instance(text + "\n" * blank) == parse_instance(text) == inst
+        assert parse_instance(text.rstrip("\n") + "\n" * blank) == inst
+    assert not per_line_calls
+    # the trailing LFs still count toward no pair line
+    with pytest.raises(MissingPair):
+        parse_instance("semi 3\n0 1 >\n0 2 >" + "\n" * blank)
 
 
 @pytest.mark.parametrize(
