@@ -2,16 +2,25 @@
 
 * :func:`max_mono_clique` - largest clique that is monochromatic in one
   color, over both colors (bicolored pairs belong to both), by a bitset
-  branch and bound on the vertex labels as given.  Besides its
-  greedy-coloring bound it has one reduction: a candidate v that misses
-  at most one other candidate u is taken without branching, because a
-  maximum clique without v holds u, and swapping u for v keeps it a
-  maximum clique.
+  branch and bound.  Each color's search runs on its vertices relabeled
+  by nonincreasing degree (Tomita & Seki, DMTCS 2003): the greedy
+  coloring, lowest label first, puts high-degree vertices in its first
+  classes, and the search branches first on the low-degree vertices of
+  the last classes, whose candidate sets are small, and then drops them.
+  Besides its greedy-coloring bound it has one reduction: a candidate v
+  that misses at most one other candidate u is taken without branching,
+  because a maximum clique without v holds u, and swapping u for v keeps
+  it a maximum clique.
 * :func:`max_transitive_set` - largest vertex set whose induced one-way
   arcs are acyclic; equivalently n minus a minimum directed feedback
-  vertex set of the one-way digraph.  Its strongly connected components
-  come from mask reachability, and its witness order from Kahn's
-  algorithm on the same masks.
+  vertex set of the one-way digraph.  Its search runs on the vertices
+  relabeled by nonincreasing one-way out-degree x in-degree, the number
+  of two-arc paths through a vertex and so a bound on its triangles; the
+  cycle packing starts from the lowest labels, so it packs cycles through
+  those vertices first.  Plain degree would not do: it is n - 1 on every
+  vertex of a tournament.  Its strongly connected components come from
+  mask reachability, and its witness order from Kahn's algorithm on the
+  same masks.
 * :func:`brute_force_f` / :func:`brute_force_F` - the worst-case values
   f(n, m) and F(n, m): minimum over every placement of m unicolored /
   one-way pairs and every color / orientation assignment of the maximum
@@ -21,8 +30,11 @@
   each pair of the other color only carries arcs both ways.
 
 All searches are deterministic; ties between optimal witnesses break to
-the lexicographically smallest vertex set (and red before blue), so
-outputs are reproducible across runs and platforms.
+the lexicographically smallest vertex set of the input labels (and red
+before blue), so outputs are reproducible across runs and platforms.  The
+vertex orders above only change how fast a search runs: each entry point
+relabels its instance once, with :func:`_relabeled`, and only vertex masks
+cross between the two labelings, through :func:`_mapped`.
 
 Both branch-and-bound searches take a private ``floor``: a maximum at or
 below it reads as the floor, so a search that only has to beat a known
@@ -139,12 +151,40 @@ def _lex_min_subset(vertices: int, target: int, extends: Callable[[int, int], bo
 
 
 # ---------------------------------------------------------------------------
+# Search labels: each entry point relabels its instance once, and only
+# vertex masks cross between the input labels and the search's
+
+
+def _relabeled(masks: list[int], order: list[int]) -> tuple[list[int], list[int]]:
+    """The relation of ``masks`` on new labels, where new vertex i is old
+    vertex ``order[i]``, and ``label``, each old vertex's new label.  The
+    bit matrix is permuted in numpy, as :func:`model._pair_masks` packs it."""
+    n = len(masks)
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), dtype=np.uint8)
+    bits = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
+    rows = np.packbits(bits[np.ix_(order, order)], axis=1, bitorder="little")
+    label = [0] * n
+    for i, v in enumerate(order):
+        label[v] = i
+    return [int.from_bytes(row.tobytes(), "little") for row in rows], label
+
+
+def _mapped(mask: int, label: list[int]) -> int:
+    """``mask`` with each vertex v moved to ``label[v]``."""
+    moved = 0
+    for v in _bits(mask):
+        moved |= 1 << label[v]
+    return moved
+
+
+# ---------------------------------------------------------------------------
 # Maximum clique core (bitset branch and bound, greedy-coloring bound)
 
 
 class _CliqueSolver:
-    """Max-clique searches over one adjacency relation, on its vertex labels
-    as given, with a node counter.
+    """Max-clique searches over one adjacency relation, on whatever vertex
+    labels it is given, with a node counter.
 
     Bitset branch and bound with a greedy-coloring bound, plus one
     reduction: a candidate v that misses at most one other candidate u lies
@@ -259,15 +299,23 @@ def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
     Ties break to larger size, then red over blue, then the
     lexicographically smallest vertex set.  Only the red search is a full
     maximisation: blue runs against a floor of red's size, which it has to
-    beat to win.
+    beat to win.  Each color's search runs on its vertices in nonincreasing
+    degree order; witness extraction decides on the input labels and maps
+    each decision's candidates into the search's labels.
     """
     if graph.n > CLIQUE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {CLIQUE_SIZE_CAP}")
-    red = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.RED))
-    blue = _CliqueSolver(graph.n, _color_adjacency(graph, EdgeColor.BLUE))
+    searches = []
+    for color in (EdgeColor.RED, EdgeColor.BLUE):
+        adj = _color_adjacency(graph, color)
+        # nonincreasing degree, ties to the smaller label
+        order = sorted(range(graph.n), key=lambda v: -adj[v].bit_count())
+        relabeled, label = _relabeled(adj, order)
+        searches.append((_CliqueSolver(graph.n, relabeled), adj, label, color))
+    red, blue = (search[0] for search in searches)
     red_size = red.max_size()
     blue_size = blue.max_size(floor=red_size)
-    solver, color = (red, EdgeColor.RED) if red_size >= blue_size else (blue, EdgeColor.BLUE)
+    solver, adj, label, color = searches[0] if red_size >= blue_size else searches[1]
     size = max(red_size, blue_size)
 
     def extends(keep: int, higher: int) -> bool:
@@ -275,13 +323,13 @@ def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
         # larger than size, so the search for the need vertices missing is a
         # yes/no one with floor need - 1 and ceiling need
         v = keep.bit_length() - 1
-        if keep & ~solver.adj[v] != 1 << v:
+        if keep & ~adj[v] != 1 << v:
             return False
         common = higher
         for u in _bits(keep):
-            common &= solver.adj[u]
+            common &= adj[u]
         need = size - keep.bit_count()
-        return need == 0 or solver.max_size(common, need - 1, need) == need
+        return need == 0 or solver.max_size(_mapped(common, label), need - 1, need) == need
 
     kept = _lex_min_subset((1 << graph.n) - 1, size, extends)
     return SolveResult(size, MonoCliqueWitness(tuple(_bits(kept)), color), red.nodes + blue.nodes)
@@ -591,29 +639,37 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     higher ones.  An optimal set found so far, the component's first or one
     that answered an earlier decision, answers yes without a search;
     otherwise the decision searches between a floor of optimum - 1 and a
-    ceiling of the optimum.
+    ceiling of the optimum.  Components and decisions are on the input
+    labels; the search runs on the vertices in nonincreasing out-degree x
+    in-degree order, and keeps its optima in those labels.
 
     The size cap bounds runtime, not memory: the search is exact on an
     NP-hard problem.  On one core of a 2-vCPU x86 host (seeds 1-3), random
-    tournaments take 0.03-0.04 s at n = 28 and 0.07-0.09 s at n = 32,
-    uniform random semicomplete digraphs 0.08-0.13 s at n = 32, 0.13-0.25 s
-    at n = 36 and 0.35-0.55 s at the cap, n = 40, where the traced peak of
-    Python allocations is 0.05-0.07 MB.
+    tournaments take 0.014-0.017 s at n = 28 and 0.05-0.06 s at n = 32,
+    uniform random semicomplete digraphs 0.04-0.06 s at n = 32, 0.08-0.29 s
+    at n = 36 and 0.20-0.48 s at the cap, n = 40, where the traced peak of
+    Python allocations is about 0.05 MB.
     """
     if digraph.n > TRANSITIVE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}")
     out = _one_way_out_masks(digraph)
-    solver = _AcyclicSolver(digraph.n, out)
+    every = (1 << digraph.n) - 1
+    into = _transpose(out, every)
+    # nonincreasing out-degree x in-degree, ties to the smaller label
+    order = sorted(range(digraph.n), key=lambda v: -out[v].bit_count() * into[v].bit_count())
+    relabeled, label = _relabeled(out, order)
+    solver = _AcyclicSolver(digraph.n, relabeled)
     chosen = 0
     # cycles never cross strongly connected components, so solve per SCC
-    for comp in sorted(_strongly_connected_components(out, (1 << digraph.n) - 1)):
+    for comp in sorted(_strongly_connected_components(out, every)):
         if comp & (comp - 1) == 0:
             chosen |= comp
             continue
-        target = solver.max_acyclic(comp)
-        optima = [solver.found]
+        target = solver.max_acyclic(_mapped(comp, label))
+        optima = [solver.found]  # in the search's labels
 
         def extends(keep: int, higher: int) -> bool:
+            keep, higher = _mapped(keep, label), _mapped(higher, label)
             # an optimum found so far answers yes without a search
             if any(s & keep == keep and not s & ~(keep | higher) for s in optima):
                 return True
