@@ -19,7 +19,8 @@ graph), the second the guaranteed transitive set (a forest of one-way
 arcs always has a topological order).
 
 Randomness: trial i draws its permutation from split(seed, i), a spawned
-numpy SeedSequence, so parallel trials reproduce serial results exactly.
+numpy SeedSequence, so any split of the trials into blocks gives the same
+sets and the same mean.
 Best-of-trials scores its trials in numpy blocks on those same permutations,
 so its sets and means equal the one-trial-at-a-time rule; prefix bitsets
 over the permutation positions count earlier neighbours in n * ceil(n / 64)

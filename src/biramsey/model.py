@@ -122,18 +122,24 @@ def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield u, v
 
 
-def _pair_masks(n: int, ascending: np.ndarray, descending: np.ndarray) -> list[int]:
+def _pair_masks(
+    n: int, ascending: np.ndarray, descending: np.ndarray, order: list[int] | None = None
+) -> list[int]:
     """Per-vertex bitmasks of two bool pair selections in pair order.
 
     Bit v of ``masks[u]`` is set for each pair (u, v), u < v, selected in
     ``ascending``, and bit u of ``masks[v]`` for each one selected in
     ``descending``.  The same selection twice gives the neighbour masks of
     a simple graph; forward and backward codes give out-neighbour masks.
+    With an ``order`` the vertices are relabeled: vertex i of the masks is
+    vertex ``order[i]`` of the pairs.
     """
     us, vs = np.triu_indices(n, 1)
     bits = np.zeros((n, n), dtype=bool)
     bits[us[ascending], vs[ascending]] = True
     bits[vs[descending], us[descending]] = True
+    if order is not None:
+        bits = bits[np.ix_(order, order)]
     rows = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 

@@ -20,7 +20,7 @@
   those vertices first.  Plain degree would not do: it is n - 1 on every
   vertex of a tournament.  Its strongly connected components come from
   mask reachability, and its witness order from Kahn's algorithm on the
-  same masks.
+  input's masks.
 * :func:`brute_force_f` / :func:`brute_force_F` - the worst-case values
   f(n, m) and F(n, m): minimum over every placement of m unicolored /
   one-way pairs and every color / orientation assignment of the maximum
@@ -33,8 +33,8 @@ All searches are deterministic; ties between optimal witnesses break to
 the lexicographically smallest vertex set of the input labels (and red
 before blue), so outputs are reproducible across runs and platforms.  The
 vertex orders above only change how fast a search runs: each entry point
-relabels its instance once, with :func:`_relabeled`, and only vertex masks
-cross between the two labelings, through :func:`_mapped`.
+packs its masks on the search's labels, decides its witness there, and
+maps only the finished witness back to the input labels.
 
 Both branch-and-bound searches take a private ``floor``: a maximum at or
 below it reads as the floor, so a search that only has to beat a known
@@ -42,7 +42,7 @@ size, or decide whether one is reached, prunes from the start.  Both also
 take a ``ceiling``, a known upper bound at which they stop.  Neither keeps
 a memo, so their memory does not grow with the nodes they visit.
 Both pick their witness with one loop, :func:`_lex_min_subset`, which asks
-each vertex in turn a yes/no question of the search.
+each vertex in turn, in input-label order, a yes/no question of the search.
 """
 
 from __future__ import annotations
@@ -136,46 +136,21 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= bit
 
 
-def _lex_min_subset(vertices: int, target: int, extends: Callable[[int, int], bool]) -> int:
-    """Lexicographically smallest ``target``-subset of ``vertices`` with a
-    hereditary property that some such subset has: each v in ascending
-    order is kept iff ``extends(keep, higher)`` says the kept vertices plus
-    v, ``keep``, grow to one with vertices of ``higher``, those above v."""
+def _lex_min_subset(vertices: list[int], target: int, extends: Callable[[int, int, int], bool]) -> int:
+    """First ``target``-subset of ``vertices``, in their listed order, with
+    a hereditary property that some such subset has: each v in turn is
+    kept iff ``extends(kept, v, higher)`` says the vertices kept so far plus
+    v grow to one with vertices of ``higher``, those listed after v."""
+    higher = [0] * len(vertices)
+    for i in range(len(vertices) - 1, 0, -1):
+        higher[i - 1] = higher[i] | 1 << vertices[i]
     kept = 0
-    for v in _bits(vertices):
+    for v, after in zip(vertices, higher):
         if kept.bit_count() == target:
             break
-        if extends(kept | 1 << v, vertices & ~((2 << v) - 1)):
+        if extends(kept, v, after):
             kept |= 1 << v
     return kept
-
-
-# ---------------------------------------------------------------------------
-# Search labels: each entry point relabels its instance once, and only
-# vertex masks cross between the input labels and the search's
-
-
-def _relabeled(masks: list[int], order: list[int]) -> tuple[list[int], list[int]]:
-    """The relation of ``masks`` on new labels, where new vertex i is old
-    vertex ``order[i]``, and ``label``, each old vertex's new label.  The
-    bit matrix is permuted in numpy, as :func:`model._pair_masks` packs it."""
-    n = len(masks)
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), dtype=np.uint8)
-    bits = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
-    rows = np.packbits(bits[np.ix_(order, order)], axis=1, bitorder="little")
-    label = [0] * n
-    for i, v in enumerate(order):
-        label[v] = i
-    return [int.from_bytes(row.tobytes(), "little") for row in rows], label
-
-
-def _mapped(mask: int, label: list[int]) -> int:
-    """``mask`` with each vertex v moved to ``label[v]``."""
-    moved = 0
-    for v in _bits(mask):
-        moved |= 1 << label[v]
-    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +261,12 @@ class _CliqueSolver:
         return cand, size
 
 
-def _color_adjacency(graph: BicoloredGraph, color: EdgeColor) -> list[int]:
-    """Bitmask adjacency of the simple graph whose edges include ``color``."""
+def _color_adjacency(graph: BicoloredGraph, color: EdgeColor, order: list[int] | None = None) -> list[int]:
+    """Bitmask adjacency of the simple graph whose edges include ``color``,
+    on the labels ``order`` gives (:func:`model._pair_masks`)."""
     codes = graph.pair_codes
     edges = (codes == color.code) | (codes == EdgeColor.RED_BLUE.code)
-    return _pair_masks(graph.n, edges, edges)
+    return _pair_masks(graph.n, edges, edges, order)
 
 
 def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
@@ -299,40 +275,40 @@ def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
     Ties break to larger size, then red over blue, then the
     lexicographically smallest vertex set.  Only the red search is a full
     maximisation: blue runs against a floor of red's size, which it has to
-    beat to win.  Each color's search runs on its vertices in nonincreasing
-    degree order; witness extraction decides on the input labels and maps
-    each decision's candidates into the search's labels.
+    beat to win.  Each color's search, witness extraction included, runs on
+    its vertices relabeled by nonincreasing degree; extraction decides them
+    in input-label order, and only the finished witness is mapped back.
     """
     if graph.n > CLIQUE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {CLIQUE_SIZE_CAP}")
     searches = []
     for color in (EdgeColor.RED, EdgeColor.BLUE):
-        adj = _color_adjacency(graph, color)
+        degrees = [mask.bit_count() for mask in _color_adjacency(graph, color)]
         # nonincreasing degree, ties to the smaller label
-        order = sorted(range(graph.n), key=lambda v: -adj[v].bit_count())
-        relabeled, label = _relabeled(adj, order)
-        searches.append((_CliqueSolver(graph.n, relabeled), adj, label, color))
+        order = sorted(range(graph.n), key=lambda v: -degrees[v])
+        searches.append((_CliqueSolver(graph.n, _color_adjacency(graph, color, order)), order, color))
     red, blue = (search[0] for search in searches)
     red_size = red.max_size()
     blue_size = blue.max_size(floor=red_size)
-    solver, adj, label, color = searches[0] if red_size >= blue_size else searches[1]
+    solver, order, color = searches[0] if red_size >= blue_size else searches[1]
     size = max(red_size, blue_size)
+    adj = solver.adj
 
-    def extends(keep: int, higher: int) -> bool:
-        # keep is a clique but for its top vertex v, just added; no clique is
-        # larger than size, so the search for the need vertices missing is a
-        # yes/no one with floor need - 1 and ceiling need
-        v = keep.bit_length() - 1
-        if keep & ~adj[v] != 1 << v:
+    def extends(kept: int, v: int, higher: int) -> bool:
+        # kept is a clique; no clique is larger than size, so the search for
+        # the need vertices missing is a yes/no one with floor need - 1 and
+        # ceiling need
+        if kept & ~adj[v]:
             return False
-        common = higher
-        for u in _bits(keep):
+        common = higher & adj[v]
+        for u in _bits(kept):
             common &= adj[u]
-        need = size - keep.bit_count()
-        return need == 0 or solver.max_size(_mapped(common, label), need - 1, need) == need
+        need = size - kept.bit_count() - 1
+        return need == 0 or solver.max_size(common, need - 1, need) == need
 
-    kept = _lex_min_subset((1 << graph.n) - 1, size, extends)
-    return SolveResult(size, MonoCliqueWitness(tuple(_bits(kept)), color), red.nodes + blue.nodes)
+    kept = _lex_min_subset(sorted(range(graph.n), key=order.__getitem__), size, extends)
+    witness = MonoCliqueWitness(tuple(sorted(order[i] for i in _bits(kept))), color)
+    return SolveResult(size, witness, red.nodes + blue.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +539,12 @@ class _AcyclicSolver:
             allowed &= ~self._closers(v, forced)
 
 
-def _one_way_out_masks(digraph: SemicompleteDigraph) -> list[int]:
-    """Bitmask of each vertex's one-way out-neighbors."""
+def _one_way_out_masks(digraph: SemicompleteDigraph, order: list[int] | None = None) -> list[int]:
+    """Bitmask of each vertex's one-way out-neighbors, on the labels ``order``
+    gives (:func:`model._pair_masks`)."""
     codes = digraph.pair_codes
     return _pair_masks(
-        digraph.n, codes == ArcState.FORWARD.code, codes == ArcState.BACKWARD.code
+        digraph.n, codes == ArcState.FORWARD.code, codes == ArcState.BACKWARD.code, order
     )
 
 
@@ -639,9 +616,9 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     higher ones.  An optimal set found so far, the component's first or one
     that answered an earlier decision, answers yes without a search;
     otherwise the decision searches between a floor of optimum - 1 and a
-    ceiling of the optimum.  Components and decisions are on the input
-    labels; the search runs on the vertices in nonincreasing out-degree x
-    in-degree order, and keeps its optima in those labels.
+    ceiling of the optimum.  Components, searches and decisions run on
+    the vertices relabeled by nonincreasing out-degree x in-degree, decided
+    in input-label order; only the chosen set is mapped back.
 
     The size cap bounds runtime, not memory: the search is exact on an
     NP-hard problem.  On one core of a 2-vCPU x86 host (seeds 1-3), random
@@ -657,19 +634,19 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     into = _transpose(out, every)
     # nonincreasing out-degree x in-degree, ties to the smaller label
     order = sorted(range(digraph.n), key=lambda v: -out[v].bit_count() * into[v].bit_count())
-    relabeled, label = _relabeled(out, order)
-    solver = _AcyclicSolver(digraph.n, relabeled)
+    solver = _AcyclicSolver(digraph.n, _one_way_out_masks(digraph, order))
+    by_input_label = sorted(range(digraph.n), key=order.__getitem__)
     chosen = 0
     # cycles never cross strongly connected components, so solve per SCC
-    for comp in sorted(_strongly_connected_components(out, every)):
+    for comp in _strongly_connected_components(solver.out, every):
         if comp & (comp - 1) == 0:
             chosen |= comp
             continue
-        target = solver.max_acyclic(_mapped(comp, label))
-        optima = [solver.found]  # in the search's labels
+        target = solver.max_acyclic(comp)
+        optima = [solver.found]
 
-        def extends(keep: int, higher: int) -> bool:
-            keep, higher = _mapped(keep, label), _mapped(higher, label)
+        def extends(kept: int, v: int, higher: int) -> bool:
+            keep = kept | 1 << v
             # an optimum found so far answers yes without a search
             if any(s & keep == keep and not s & ~(keep | higher) for s in optima):
                 return True
@@ -678,8 +655,8 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
             optima.append(solver.found)
             return True
 
-        chosen |= _lex_min_subset(comp, target, extends)
-    vertices = tuple(_bits(chosen))
+        chosen |= _lex_min_subset([i for i in by_input_label if comp >> i & 1], target, extends)
+    vertices = tuple(sorted(order[i] for i in _bits(chosen)))
     witness = TransitiveWitness(vertices, _topological_order(vertices, out))
     return SolveResult(len(vertices), witness, solver.nodes)
 

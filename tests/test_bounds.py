@@ -238,6 +238,8 @@ def test_lower_bound_formulas_range_checks():
         (moment_compare, (0, 0, 0, 2)),  # empty population
         (binomial_moment_identity, (8, 4, 4, 5)),  # k above the draws
         (lower_bound_formulas, (0, 0)),
+        (blowup_bound, (Fraction(1, 2), 1)),  # n below 2
+        (binomial_moment_identity, (0, 0, 0, 0)),  # empty population
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

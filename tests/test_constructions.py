@@ -1,5 +1,6 @@
 """Builders: claimed pair counts, solver-verified ceilings, disjointness."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,12 @@ def test_matching_coloring_examples():
     cert = matching_coloring(5, 5)
     assert cert.claimed_bound == 3
     assert max_mono_clique(cert.instance).size == 3
+
+
+def test_certificate_refuses_a_wrong_pair_count():
+    cert = matching_coloring(6, 4)
+    with pytest.raises(ValueError, match="built 4 unicolored/one-way pairs, claimed 5"):
+        replace(cert, claimed_m=5)
 
 
 def test_matching_coloring_color_classes_are_near_matchings():

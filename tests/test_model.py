@@ -661,6 +661,7 @@ def test_witness_invariants():
         TransitiveWitness((0, 1), (0, 2))
     with pytest.raises(ValueError):
         TransitiveWitness((1, 0), (0, 1))
+    assert TransitiveWitness((0, 2, 5), (5, 0, 2)).size == 3
 
 
 # --- property tests ----------------------------------------------------------

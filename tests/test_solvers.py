@@ -381,21 +381,46 @@ def test_solvers_are_invariant_under_relabeling(kind, solve, data):
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64])
-def test_relabeled_and_mapped_round_trip(n):
-    # n straddles the byte boundaries of the packed bit matrix
-    from biramsey.solvers import _mapped, _relabeled
+def test_pair_masks_relabel_to_the_given_order(n):
+    # n straddles the byte boundaries of the packed bit matrix; vertex i of
+    # the relabeled masks is vertex order[i] of the input's
+    from biramsey.model import _pair_masks
 
     rng = np.random.default_rng(n)
-    masks = [int.from_bytes(rng.bytes(8), "little") & ((1 << n) - 1) for _ in range(n)]
+    ascending, descending = rng.random((2, pair_count(n))) < 0.5
     order = rng.permutation(n).tolist()
-    relabeled, label = _relabeled(masks, order)
-    assert [label[v] for v in order] == list(range(n))
+    masks = _pair_masks(n, ascending, descending)
+    relabeled = _pair_masks(n, ascending, descending, order)
     for i in range(n):
         assert all(relabeled[i] >> j & 1 == masks[order[i]] >> order[j] & 1 for j in range(n))
-    for v in range(n):
-        assert relabeled[label[v]] == _mapped(masks[v], label)
-        assert _mapped(relabeled[label[v]], order) == masks[v]
-    assert _relabeled(relabeled, label) == (masks, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lex_min_subset_is_the_first_subset_in_list_order(data):
+    # independent sets of a random graph on a shuffled vertex list: the
+    # result is the first target-subset combinations() meets in that order
+    from biramsey.solvers import _lex_min_subset
+
+    n = data.draw(st.integers(1, 8))
+    edges = {pair for pair in combinations(range(n), 2) if data.draw(st.booleans())}
+    vertices = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+
+    def independent(subset):
+        return not any(pair in edges for pair in combinations(sorted(subset), 2))
+
+    sizes = [k for k in range(len(vertices) + 1) if any(map(independent, combinations(vertices, k)))]
+    target = data.draw(st.sampled_from(sizes))
+
+    def extends(kept, v, higher):
+        keep = _mask_bits(kept | 1 << v)
+        return any(
+            independent(keep + list(more))
+            for more in combinations(_mask_bits(higher), target - len(keep))
+        )
+
+    first = next(subset for subset in combinations(vertices, target) if independent(subset))
+    assert _lex_min_subset(vertices, target, extends) == sum(1 << v for v in first)
 
 
 def _into_mask_sizes(n, forward, backward, cap):
@@ -583,6 +608,8 @@ def test_verify_witness_kind_mismatch():
     d = SemicompleteDigraph(3, bytes([ArcState.BIORIENTED.code]) * 3)
     with pytest.raises(KindMismatch):
         verify_witness(d, MonoCliqueWitness((0, 1), EdgeColor.RED))
+    with pytest.raises(KindMismatch, match="unknown witness type tuple"):
+        verify_witness(d, (0, 1))
 
 
 def test_solver_witnesses_verify_on_many_random_instances():
@@ -1057,6 +1084,16 @@ def test_cycle_search_matches_dictionary_bfs():
             assert solver._cycle_packing(mask, n) == _reference_packing(out, mask)
             longer += expected is not None and len(expected) > 3
     assert longer >= 100  # the triangle-free fallback ran
+
+
+def test_longer_cycle_moves_on_from_a_start_whose_search_runs_out():
+    # 0 sits on no cycle but stays in the core, between the 4-cycles
+    # 1-2-3-4 and 5-6-7-8: its search reaches 5..8 and runs out of vertices
+    from biramsey.solvers import _AcyclicSolver, _one_way_out_masks
+
+    arcs = {(1, 2), (2, 3), (3, 4), (4, 1), (1, 0), (0, 5), (5, 6), (6, 7), (7, 8), (8, 5)}
+    out = _one_way_out_masks(SemicompleteDigraph.from_arcs(9, arcs))
+    assert _AcyclicSolver(9, out)._longer_cycle((1 << 9) - 1) == (1, 2, 3, 4)
 
 
 # --- mask reachability helpers -------------------------------------------------
