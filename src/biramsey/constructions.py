@@ -189,9 +189,10 @@ def triangle_digraph(n: int, m: int) -> ConstructionCert:
     transitive set must drop a vertex per triangle, so the ceiling is
     n - floor(m/3), attained.
 
-    When m is not divisible by 3 the 1-2 leftover arcs are emitted as an
-    ascending path over otherwise-bioriented vertex choices, which creates
-    no new cycles and keeps the pair count at exactly m.
+    When m is not divisible by 3 the 1-2 leftover arcs form an ascending
+    path over the free vertices, borrowing base vertices of distinct
+    triangles (their pairs are still bioriented) where those run out: it
+    closes no cycle and keeps the pair count at exactly m.
     """
     if m < 0 or m > pair_count(n):
         raise InfeasibleParams(f"m={m} outside 0..C({n},2)")
@@ -204,21 +205,11 @@ def triangle_digraph(n: int, m: int) -> ConstructionCert:
     for j in range(triangles):
         a = 3 * j
         arcs.update({(a, a + 1), (a + 1, a + 2), (a + 2, a)})
-    if rest:
-        leftovers = list(range(3 * triangles, n))
-        if len(leftovers) < rest + 1:
-            # borrow base vertices of distinct triangles; those pairs are
-            # still bioriented and an ascending path cannot close a cycle
-            borrow = (rest + 1) - len(leftovers)
-            if borrow > triangles:
-                raise InfeasibleParams(
-                    f"no room for {rest} leftover one-way arcs on {n} vertices"
-                )
-            path = sorted(3 * j for j in range(borrow)) + leftovers
-        else:
-            path = leftovers[: rest + 1]
-        for x, y in zip(path, path[1:]):
-            arcs.add((x, y))
+    borrow = max(0, rest + 1 - (n - 3 * triangles)) if rest else 0
+    if borrow > triangles:
+        raise InfeasibleParams(f"no room for {rest} leftover one-way arcs on {n} vertices")
+    path = [3 * j for j in range(borrow)] + list(range(3 * triangles, n))
+    arcs.update(zip(path, path[1 : rest + 1]))
     return ConstructionCert(
         instance=SemicompleteDigraph.from_arcs(n, arcs),
         claimed_m=m,

@@ -11,7 +11,7 @@ The quantity ``m`` counts unicolored pairs (resp. one-way pairs); the
 remaining pairs are bicolored (resp. bioriented).  An instance is ``n`` plus
 ``codes``, one byte per pair in :func:`pair_index` order: the state's place
 in its enum (0 red or forward, 1 blue or backward, 2 both).  Instances are
-immutable frozen dataclasses, safe to share between concurrent solver calls.
+immutable frozen dataclasses.
 
 Text format, one instance per file, LF newlines, '#' starts a comment::
 
@@ -210,13 +210,18 @@ class _PairStates:
         return self._STATES[self.codes[pair_index(u, v, self.n)]]
 
     @property
+    def _both_count(self) -> int:
+        """Pairs carrying both states: bicolored resp. bioriented."""
+        return self.codes.count(_BOTH)
+
+    @property
     def m(self) -> int:
         """Pairs in exactly one state: unicolored resp. one-way."""
-        return len(self.codes) - self.codes.count(_BOTH)
+        return len(self.codes) - self._both_count
 
     def density(self) -> Fraction:
         """Exact fraction p of pairs carrying both states."""
-        return Fraction(self.codes.count(_BOTH), len(self.codes)) if self.codes else Fraction(0)
+        return Fraction(self._both_count, len(self.codes)) if self.codes else Fraction(0)
 
 
 class BicoloredGraph(_PairStates):
@@ -226,10 +231,7 @@ class BicoloredGraph(_PairStates):
     _STATES = tuple(EdgeColor)
     _REVERSED = (0, 1, 2)
     unicolored_count = _PairStates.m
-
-    @property
-    def bicolored_count(self) -> int:
-        return self.codes.count(_BOTH)
+    bicolored_count = _PairStates._both_count
 
     def has_color(self, u: int, v: int, color: EdgeColor) -> bool:
         """Whether the pair's state includes the given single color."""
@@ -244,15 +246,12 @@ class SemicompleteDigraph(_PairStates):
     _STATES = tuple(ArcState)
     _REVERSED = (1, 0, 2)
     oneway_count = _PairStates.m
+    bioriented_count = _PairStates._both_count
 
     @classmethod
     def from_arcs(cls, n: int, arcs: "set[tuple[int, int]] | frozenset[tuple[int, int]]") -> "SemicompleteDigraph":
         """Build from the set of one-way arcs (tail, head); other pairs bioriented."""
         return cls.from_map(n, dict.fromkeys(arcs, ArcState.FORWARD))
-
-    @property
-    def bioriented_count(self) -> int:
-        return self.codes.count(_BOTH)
 
     def has_arc(self, x: int, y: int) -> bool:
         """Arc x -> y present (one-way or as half of a bioriented pair)."""

@@ -2,25 +2,15 @@
 
 * :func:`max_mono_clique` - largest clique that is monochromatic in one
   color, over both colors (bicolored pairs belong to both), by a bitset
-  branch and bound.  Each color's search runs on its vertices relabeled
-  by nonincreasing degree (Tomita & Seki, DMTCS 2003): the greedy
-  coloring, lowest label first, puts high-degree vertices in its first
-  classes, and the search branches first on the low-degree vertices of
-  the last classes, whose candidate sets are small, and then drops them.
-  Besides its greedy-coloring bound it has one reduction: a candidate v
-  that misses at most one other candidate u is taken without branching,
-  because a maximum clique without v holds u, and swapping u for v keeps
-  it a maximum clique.
+  branch and bound.  Besides its greedy-coloring bound it has one
+  reduction: a candidate v that misses at most one other candidate u is
+  taken without branching, because a maximum clique without v holds u,
+  and swapping u for v keeps it a maximum clique.
 * :func:`max_transitive_set` - largest vertex set whose induced one-way
   arcs are acyclic; equivalently n minus a minimum directed feedback
-  vertex set of the one-way digraph.  Its search runs on the vertices
-  relabeled by nonincreasing one-way out-degree x in-degree, the number
-  of two-arc paths through a vertex and so a bound on its triangles; the
-  cycle packing starts from the lowest labels, so it packs cycles through
-  those vertices first.  Plain degree would not do: it is n - 1 on every
-  vertex of a tournament.  Its strongly connected components come from
-  mask reachability, and its witness order from Kahn's algorithm on the
-  input's masks.
+  vertex set of the one-way digraph.  Its strongly connected components
+  come from mask reachability, and its witness order from Kahn's
+  algorithm on the input's masks.
 * :func:`brute_force_f` / :func:`brute_force_F` - the worst-case values
   f(n, m) and F(n, m): minimum over every placement of m unicolored /
   one-way pairs and every color / orientation assignment of the maximum
@@ -29,12 +19,21 @@
   and the tournaments of ``exhaustive``: a clique is an acyclic set once
   each pair of the other color only carries arcs both ways.
 
+Both searches relabel the vertices by one rule, :func:`_search_labels`:
+nonincreasing out-degree x in-degree.  On a simple graph that is degree
+squared, Tomita & Seki's degree order (DMTCS 2003): the greedy coloring
+puts high-degree vertices first, so the clique search branches first on
+the small candidate sets of the low-degree ones, then drops them.  On a
+digraph it counts the two-arc paths through a vertex, a bound on its
+triangles, so the cycle packing, lowest labels first, meets those first;
+plain degree is n - 1 on every vertex of a tournament.
+
 All searches are deterministic; ties between optimal witnesses break to
 the lexicographically smallest vertex set of the input labels (and red
 before blue), so outputs are reproducible across runs and platforms.  The
-vertex orders above only change how fast a search runs: each entry point
-packs its masks on the search's labels, decides its witness there, and
-maps only the finished witness back to the input labels.
+vertex order only changes how fast a search runs: each entry point packs
+its masks on the search's labels, decides its witness there, and maps
+only the finished witness back to the input labels.
 
 Both branch-and-bound searches take a private ``floor``: a maximum at or
 below it reads as the floor, so a search that only has to beat a known
@@ -261,12 +260,28 @@ class _CliqueSolver:
         return cand, size
 
 
-def _color_adjacency(graph: BicoloredGraph, color: EdgeColor, order: list[int] | None = None) -> list[int]:
-    """Bitmask adjacency of the simple graph whose edges include ``color``,
-    on the labels ``order`` gives (:func:`model._pair_masks`)."""
+def _color_pairs(graph: BicoloredGraph, color: EdgeColor) -> tuple[np.ndarray, np.ndarray]:
+    """The pair selections of the simple graph whose edges include ``color``."""
     codes = graph.pair_codes
     edges = (codes == color.code) | (codes == EdgeColor.RED_BLUE.code)
-    return _pair_masks(graph.n, edges, edges, order)
+    return edges, edges
+
+
+def _color_adjacency(graph: BicoloredGraph, color: EdgeColor) -> list[int]:
+    """Bitmask adjacency of the simple graph whose edges include ``color``."""
+    return _pair_masks(graph.n, *_color_pairs(graph, color))
+
+
+def _search_labels(n: int, ascending: np.ndarray, descending: np.ndarray) -> tuple[list[int], list[int]]:
+    """The order of both exact searches, nonincreasing out-degree x in-degree
+    with ties to the smaller label, and the :func:`model._pair_masks` on it:
+    search vertex i is input vertex ``order[i]``."""
+    us, vs = np.triu_indices(n, 1)
+    tails = np.concatenate([us[ascending], vs[descending]])
+    heads = np.concatenate([vs[ascending], us[descending]])
+    key = np.bincount(tails, minlength=n) * np.bincount(heads, minlength=n)
+    order = np.argsort(-key, kind="stable").tolist()
+    return order, _pair_masks(n, ascending, descending, order)
 
 
 def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
@@ -276,17 +291,15 @@ def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
     lexicographically smallest vertex set.  Only the red search is a full
     maximisation: blue runs against a floor of red's size, which it has to
     beat to win.  Each color's search, witness extraction included, runs on
-    its vertices relabeled by nonincreasing degree; extraction decides them
-    in input-label order, and only the finished witness is mapped back.
+    the labels of :func:`_search_labels`; extraction decides them in
+    input-label order, and only the finished witness is mapped back.
     """
     if graph.n > CLIQUE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {CLIQUE_SIZE_CAP}")
     searches = []
     for color in (EdgeColor.RED, EdgeColor.BLUE):
-        degrees = [mask.bit_count() for mask in _color_adjacency(graph, color)]
-        # nonincreasing degree, ties to the smaller label
-        order = sorted(range(graph.n), key=lambda v: -degrees[v])
-        searches.append((_CliqueSolver(graph.n, _color_adjacency(graph, color, order)), order, color))
+        order, adj = _search_labels(graph.n, *_color_pairs(graph, color))
+        searches.append((_CliqueSolver(graph.n, adj), order, color))
     red, blue = (search[0] for search in searches)
     red_size = red.max_size()
     blue_size = blue.max_size(floor=red_size)
@@ -331,9 +344,9 @@ class _AcyclicSolver:
     free vertex closes a cycle with the forced set, which stays acyclic,
     and every packed cycle has at least two free vertices; a ``forced`` set
     that holds a cycle is caught while it is forced and finds nothing.  The
-    in-masks come from :func:`_transpose`, the mask helper that also serves
-    the strongly connected components (with :func:`_reach`) and the
-    topological order around the search.
+    in-masks come from :func:`_transpose`, which also serves the witness's
+    topological order; the strongly connected components around the
+    search read them (with :func:`_reach`).
     """
 
     def __init__(self, n: int, out: list[int]):
@@ -539,13 +552,15 @@ class _AcyclicSolver:
             allowed &= ~self._closers(v, forced)
 
 
-def _one_way_out_masks(digraph: SemicompleteDigraph, order: list[int] | None = None) -> list[int]:
-    """Bitmask of each vertex's one-way out-neighbors, on the labels ``order``
-    gives (:func:`model._pair_masks`)."""
+def _one_way_pairs(digraph: SemicompleteDigraph) -> tuple[np.ndarray, np.ndarray]:
+    """The pair selections of the one-way arcs: forward, then backward."""
     codes = digraph.pair_codes
-    return _pair_masks(
-        digraph.n, codes == ArcState.FORWARD.code, codes == ArcState.BACKWARD.code, order
-    )
+    return codes == ArcState.FORWARD.code, codes == ArcState.BACKWARD.code
+
+
+def _one_way_out_masks(digraph: SemicompleteDigraph) -> list[int]:
+    """Bitmask of each vertex's one-way out-neighbors."""
+    return _pair_masks(digraph.n, *_one_way_pairs(digraph))
 
 
 def _transpose(out: list[int], mask: int) -> list[int]:
@@ -569,10 +584,9 @@ def _reach(out: list[int], seen: int, mask: int) -> int:
     return seen
 
 
-def _strongly_connected_components(out: list[int], mask: int) -> list[int]:
+def _strongly_connected_components(out: list[int], into: list[int], mask: int) -> list[int]:
     """Component masks of the sub-digraph on ``mask``, forward-backward: the
     lowest vertex left reaches, and is reached from, exactly its component."""
-    into = _transpose(out, mask)
     components = []
     while mask:
         low = mask & -mask
@@ -617,8 +631,8 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     that answered an earlier decision, answers yes without a search;
     otherwise the decision searches between a floor of optimum - 1 and a
     ceiling of the optimum.  Components, searches and decisions run on
-    the vertices relabeled by nonincreasing out-degree x in-degree, decided
-    in input-label order; only the chosen set is mapped back.
+    the labels of :func:`_search_labels`, decided in input-label order;
+    only the chosen set is mapped back and ordered on the input's masks.
 
     The size cap bounds runtime, not memory: the search is exact on an
     NP-hard problem.  On one core of a 2-vCPU x86 host (seeds 1-3), random
@@ -629,16 +643,12 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     """
     if digraph.n > TRANSITIVE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}")
-    out = _one_way_out_masks(digraph)
-    every = (1 << digraph.n) - 1
-    into = _transpose(out, every)
-    # nonincreasing out-degree x in-degree, ties to the smaller label
-    order = sorted(range(digraph.n), key=lambda v: -out[v].bit_count() * into[v].bit_count())
-    solver = _AcyclicSolver(digraph.n, _one_way_out_masks(digraph, order))
+    order, out = _search_labels(digraph.n, *_one_way_pairs(digraph))
+    solver = _AcyclicSolver(digraph.n, out)
     by_input_label = sorted(range(digraph.n), key=order.__getitem__)
     chosen = 0
     # cycles never cross strongly connected components, so solve per SCC
-    for comp in _strongly_connected_components(solver.out, every):
+    for comp in _strongly_connected_components(solver.out, solver.into, (1 << digraph.n) - 1):
         if comp & (comp - 1) == 0:
             chosen |= comp
             continue
@@ -657,7 +667,7 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
 
         chosen |= _lex_min_subset([i for i in by_input_label if comp >> i & 1], target, extends)
     vertices = tuple(sorted(order[i] for i in _bits(chosen)))
-    witness = TransitiveWitness(vertices, _topological_order(vertices, out))
+    witness = TransitiveWitness(vertices, _topological_order(vertices, _one_way_out_masks(digraph)))
     return SolveResult(len(vertices), witness, solver.nodes)
 
 

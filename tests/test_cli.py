@@ -477,17 +477,36 @@ def test_every_builder_round_trips_through_verify(tmp_path, argv):
     assert "VERIFIED" in out
 
 
+def run_module(argv, **env_vars):
+    """``python -m biramsey.cli`` in a fresh interpreter on this package."""
+    env = {**os.environ, **env_vars}
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "biramsey.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+
+
+def test_module_entry_point_exits_with_cli_main_code(tmp_path):
+    # main() and the __main__ guard run only as a module
+    argv = ["bound", "classic", "--n", "64"]
+    result = run_module(argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli(argv)[1]
+    result = run_module(["solve", str(tmp_path / "missing.txt")])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("threads", [1, 2, 8])
 def test_oracle_thread_count_does_not_change_output(tmp_path, threads):
     # the CLI takes no thread count; the numeric libraries read theirs from
     # the environment at import, so each count runs in a fresh interpreter
-    env = {**os.environ, **{var: str(threads) for var in _THREAD_VARS}}
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "biramsey.cli", "oracle", "--n", "5", "--m", "4",
-         "--family", "both", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=60, check=False,
+    result = run_module(
+        ["oracle", "--n", "5", "--m", "4", "--family", "both", "--out", str(tmp_path)],
+        **{var: str(threads) for var in _THREAD_VARS},
     )
     assert result.returncode == 0, result.stderr
     reference = (

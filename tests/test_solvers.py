@@ -249,7 +249,7 @@ def _strong_blocks(n, rng):
 
 def test_transitive_witness_vertex_set_is_lex_min_among_optima(sparse_semicomplete):
     from biramsey.model import random_tournament
-    from biramsey.solvers import _one_way_out_masks, _strongly_connected_components
+    from biramsey.solvers import _one_way_out_masks, _strongly_connected_components, _transpose
 
     for seed in range(20):
         d = random_semicomplete(7, seed + 900)
@@ -267,7 +267,8 @@ def test_transitive_witness_vertex_set_is_lex_min_among_optima(sparse_semicomple
             res = max_transitive_set(d)
             assert res.witness.vertices == _lex_min_acyclic_optimum(d)
             assert verify_witness(d, res.witness)
-            comps = _strongly_connected_components(_one_way_out_masks(d), (1 << n) - 1)
+            out, every = _one_way_out_masks(d), (1 << n) - 1
+            comps = _strongly_connected_components(out, _transpose(out, every), every)
             multi_component += sum(bin(c).count("1") > 1 for c in comps) > 1
     assert multi_component >= 5  # every _strong_blocks instance at least
 
@@ -393,6 +394,29 @@ def test_pair_masks_relabel_to_the_given_order(n):
     relabeled = _pair_masks(n, ascending, descending, order)
     for i in range(n):
         assert all(relabeled[i] >> j & 1 == masks[order[i]] >> order[j] & 1 for j in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40, 64])
+def test_search_labels_order_by_degree_product(n):
+    # one rule for both searches, read off the pair codes: nonincreasing
+    # degree on a simple graph (degree squared), nonincreasing one-way
+    # out-degree x in-degree on a digraph, ties to the smaller label; the
+    # masks are the input's masks on those labels
+    from biramsey.model import _pair_masks, random_tournament
+    from biramsey.solvers import _color_adjacency, _color_pairs, _one_way_pairs, _search_labels, _transpose
+
+    g = random_coloring(n, n)
+    for color in (EdgeColor.RED, EdgeColor.BLUE):
+        adj = _color_adjacency(g, color)
+        order, masks = _search_labels(n, *_color_pairs(g, color))
+        assert order == sorted(range(n), key=lambda v: -adj[v].bit_count())
+        assert masks == _pair_masks(n, *_color_pairs(g, color), order)
+    for d in (random_semicomplete(n, n), random_tournament(n, n)):
+        out = solvers._one_way_out_masks(d)
+        into = _transpose(out, (1 << n) - 1)
+        order, masks = _search_labels(n, *_one_way_pairs(d))
+        assert order == sorted(range(n), key=lambda v: -out[v].bit_count() * into[v].bit_count())
+        assert masks == _pair_masks(n, *_one_way_pairs(d), order)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1115,7 +1139,7 @@ def _closure(out, mask):
 
 
 def test_strongly_connected_components_match_mutual_reachability():
-    from biramsey.solvers import _strongly_connected_components
+    from biramsey.solvers import _strongly_connected_components, _transpose
 
     rng = np.random.default_rng(5151)
     nontrivial = 0
@@ -1123,7 +1147,7 @@ def test_strongly_connected_components_match_mutual_reachability():
         n = len(out)
         for mask in [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(6)]:
             reach = _closure(out, mask)
-            comps = _strongly_connected_components(out, mask)
+            comps = _strongly_connected_components(out, _transpose(out, mask), mask)
             union = 0
             for comp in comps:
                 assert comp and not comp & union  # nonempty and disjoint
