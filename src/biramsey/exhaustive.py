@@ -11,12 +11,14 @@ transitive k-subset (TT_k-free) stays TT_k-free when any vertex is deleted
 extensions of the TT_k-free codes of order ``o - 1`` by a new vertex 0
 with each of its 2^(o - 1) arc patterns.  Vertex 0's pairs (0, v) come
 first in pair order, so a candidate is the base code shifted past them,
-``base << (o - 1)``, ORed with its arc pattern.  Only those candidates are
-scored; below order k every code is TT_k-free.  Blocks of
-``solvers._ORACLE_BLOCK`` candidates go through the oracle's acyclic-set
-kernel on bit planes (one Python int per pair or vertex set, bit i for
-candidate i), which keeps peak memory flat.  A code is its forward pair mask:
-only the planes of missing forward arcs are packed, the rest complemented.
+``base << (o - 1)``, ORed with its arc pattern.  Reversing every arc, the
+code's complement, keeps a code TT_k-free, so only the patterns with arc
+o - 1 -> 0 are scored, each survivor emitted with its complement; below
+order k every code is TT_k-free.  Blocks of ``solvers._ORACLE_BLOCK``
+candidates go through the oracle's acyclic-set kernel on bit planes (one
+Python int per pair or vertex set, bit i for candidate i), which keeps peak
+memory flat.  A code is its forward pair mask: only the planes of missing
+forward arcs are packed, the rest complemented.
 
 These scans are an independent route to the same quantities as the
 branch-and-bound solvers; the test suite cross-checks the two.
@@ -71,19 +73,22 @@ def _check_scan_order(order: int, cap: int = SCAN_ORDER_CAP) -> None:
 def _free_extensions(base: np.ndarray, order: int, k: int) -> Iterator[np.ndarray]:
     """TT_k-free codes of the given order whose vertices 1 .. order - 1
     span a tournament in ``base``, one array per block of candidates
-    (block-ordered, not sorted)."""
-    dtype = np.min_scalar_type((1 << pair_count(order)) - 1)
+    (block-ordered, not sorted).  ``base`` must be closed under reversal,
+    as every set of TT_k-free codes is."""
+    full = (1 << pair_count(order)) - 1  # XOR with it reverses every arc
+    dtype = np.min_scalar_type(full)
     new = order - 1  # pairs (0, v) of the new vertex 0, first in pair order
     base = base.astype(dtype) << new
-    # pattern bit v - 1 set means arc 0 -> v, else the reverse
-    arcs = np.arange(1 << new, dtype=dtype)
-    rows = max(1, _ORACLE_BLOCK >> new)
+    # pattern bit v - 1 set means arc 0 -> v, else the reverse; top bit clear
+    arcs = np.arange(1 << (new - 1), dtype=dtype)
+    rows = max(1, _ORACLE_BLOCK >> (new - 1))
     for lo in range(0, len(base), rows):
         codes = (base[lo : lo + rows, None] | arcs).ravel()
         no_forward = _pair_planes(codes, order)
         every = (1 << len(codes)) - 1
         no_backward = [every ^ plane for plane in no_forward]
-        yield codes[_acyclic_sizes(order, len(codes), no_forward, no_backward, k) < k]
+        free = codes[_acyclic_sizes(order, len(codes), no_forward, no_backward, k) < k]
+        yield np.concatenate([free, free ^ full])
 
 
 def tt_free_tournament_codes(order: int, k: int) -> np.ndarray:

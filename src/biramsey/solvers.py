@@ -17,7 +17,8 @@
   substructure, at tiny n.  One bit-plane kernel, independent of the
   branch-and-bound searches, scores blocks of instances for both families
   and the tournaments of ``exhaustive``: a clique is an acyclic set once
-  each pair of the other color only carries arcs both ways.
+  each pair of the other color only carries arcs both ways.  It scores
+  one instance per complement pair (colors swapped, or arcs reversed).
 
 Both searches relabel the vertices by one rule, :func:`_search_labels`:
 nonincreasing out-degree x in-degree.  On a simple graph that is degree
@@ -757,12 +758,15 @@ def max_transitive_set_by_enumeration(digraph: SemicompleteDigraph) -> int:
 # ---------------------------------------------------------------------------
 # Exhaustive worst-case oracles
 #
-# A cell (n, m) is scanned in one fixed order: placements of the m unicolored
+# A cell (n, m) is indexed in one fixed order: placements of the m unicolored
 # (one-way) pairs in lexicographic order, and for each placement every
 # assignment code 0 .. 2^m - 1 ascending, code bit b deciding the b-th placed
-# pair (1 = red / forward, 0 = blue / backward).  In both families an
-# instance is held as the pair bitmasks of ``model``'s codes 0 (red / forward)
-# and 1 (blue / backward), and whole blocks are scored at a time.
+# pair (1 = red / forward, 0 = blue / backward).  Codes c and c ^ (2^m - 1)
+# differ by a color swap or by reversing every arc, so share one value, and a
+# placement's first attainer has the top bit clear: only codes 0 ..
+# 2^(m - 1) - 1 are scored.  In both families an instance is held as the pair
+# bitmasks of ``model``'s codes 0 (red / forward) and 1 (blue / backward),
+# and whole blocks are scored at a time.
 
 _ORACLE_PAIR_CAP = 15  # C(n,2) cap for exhaustive enumeration
 _ORACLE_BLOCK = 1 << 16  # instances per scored block; keeps peak memory flat
@@ -798,12 +802,12 @@ def _check_oracle_pre(n: int, m: int, budget: int) -> None:
 
 def _block_masks(positions: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """Pair bitmasks of code 0 (red / forward) and code 1 (blue / backward)
-    of every instance of the placements in ``positions`` (one row of pair
-    indices each), flattened in (placement, code) order."""
+    of the scored codes 0 .. 2^(m - 1) - 1 of each placement in ``positions``
+    (one row of pair indices each), flattened in (placement, code) order."""
     bits = (1 << positions).astype(dtype)
     placed = np.bitwise_or.reduce(bits, axis=1, keepdims=True)
     assigned = np.zeros((len(positions), 1), dtype=dtype)  # placed pairs with code bit 1
-    for b in range(positions.shape[1]):
+    for b in range(positions.shape[1] - 1):
         assigned = np.concatenate([assigned, assigned | bits[:, b : b + 1]], axis=1)
     return assigned.ravel(), (placed ^ assigned).ravel()
 
@@ -909,15 +913,16 @@ def oracle_cell_slice(
         raise ValueError(f"placement slice [{start}, {stop}) of cell (n={n}, m={m}) is empty")
     positions = np.array(placements, dtype=np.int64).reshape(len(placements), m)
     dtype = np.min_scalar_type((1 << pair_count(n)) - 1)
-    per_block = max(1, _ORACLE_BLOCK >> m)
+    half = max(m - 1, 0)  # scored code bits per placement
+    per_block = max(1, _ORACLE_BLOCK >> half)
     best, best_index = n + 1, -1
     for lo in range(0, len(placements), per_block):
         first, second = _block_masks(positions[lo : lo + per_block], dtype)
         sizes = _SCORERS[family](n, first, second, best)
         i = int(sizes.argmin())
         if sizes[i] < best:
-            best, best_index = int(sizes[i]), (lo << m) + i
-    row, code = divmod(best_index, 1 << m)
+            best, best_index = int(sizes[i]), (lo << half) + i
+    row, code = divmod(best_index, 1 << half)
     instance = _cell_instance(n, family, placements[row], code)
     return best, ((start + row) << m) + code, serialize_instance(instance)
 

@@ -336,6 +336,37 @@ def test_atlas_full_oracle_run_n5():
     assert all(row[-1] == "" for row in rows)
 
 
+# sha256 of the n = 6 oracle's outputs: the grid the oracle can cover, and
+# instance files of three f / F cells; a change to the enumeration must leave
+# every value and every reported attainer as it is
+ATLAS_6_SHA256 = (
+    "e3c52c678d2dcc5b82d6b264fa14cd6e0dbc79bafab24bd3d740915280e8448b",  # stdout
+    "adbecbbccc9b7762757c66842cd4f4d088ef342ab42b21ba151c1166cd0acdfc",  # stderr
+)
+ORACLE_6_SHA256 = {
+    "oracle_n6_m5_coloring.txt": "299450870d77ef2188014dd5f996d14e55341bb020d4200bb2ce929d3f4ba260",
+    "oracle_n6_m5_digraph.txt": "864314e32e40eaaf855fee1efebb46e35b6b5bcac080ce302e4321e979aaa977",
+    "oracle_n6_m8_coloring.txt": "323f9abf4d74fcab9071a2cbc24ee8b298991276154361011a7065d039065e65",
+    "oracle_n6_m8_digraph.txt": "55675740d70eff1fe3dc4ebc4358a37f095b2c29517968c2540711dd0bae253e",
+    "oracle_n6_m11_coloring.txt": "54dc5e73536bd6477fbfa6e5a291265f978d4680e0decbbff7f221185adcc350",
+    "oracle_n6_m11_digraph.txt": "efe890ef6bf4ec0f41db4451560eb832b8021a8d1b67d5baff840afaf68024cd",
+}
+
+
+def test_atlas_n6_output_is_pinned():
+    code, out, err = run_cli(["atlas", "--n-max", "6"])
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()) == ATLAS_6_SHA256
+
+
+@pytest.mark.parametrize("m", [5, 8, 11])
+def test_oracle_n6_instance_files_are_pinned(tmp_path, m):
+    code, _, _ = run_cli(["oracle", "--n", "6", "--m", str(m), "--family", "both", "--out", str(tmp_path)])
+    assert code == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == {name: sha for name, sha in ORACLE_6_SHA256.items() if f"_m{m}_" in name}
+
+
 def test_atlas_skips_cells_beyond_the_pair_cap():
     code, out, _ = run_cli(["atlas", "--n-max", "7", "--m-max", "1"])
     assert code == 0

@@ -100,6 +100,16 @@ def test_tt_free_codes_match_full_scan(order, k):
     assert np.array_equal(free, expected)  # same codes in the same order
 
 
+@pytest.mark.parametrize(
+    "order, k", [(order, k) for order in range(1, 7) for k in range(1, order + 2)]
+)
+def test_tt_free_codes_are_closed_under_reversal(order, k):
+    # the scans extend each base code and its reversal from one scored half
+    free = tt_free_tournament_codes(order, k)
+    reversed_codes = np.sort(free ^ ((1 << pair_count(order)) - 1))
+    assert np.array_equal(reversed_codes, free)
+
+
 @pytest.mark.parametrize("order", range(1, 8))
 def test_min_max_matches_full_scan(order):
     sizes = _full_scan_sizes(order)

@@ -301,14 +301,31 @@ def _block_score(instance, scorer):
 @pytest.mark.parametrize("family", ["coloring", "digraph"])
 @pytest.mark.parametrize("n, m", [(4, m) for m in range(4)] + [(5, 2)])
 def test_block_masks_row_i_holds_instance_i_of_the_cell(n, m, family):
+    # one instance per complement pair: the codes with the top bit clear
     placements = list(combinations(range(pair_count(n)), m))
     positions = np.array(placements, dtype=np.int64).reshape(len(placements), m)
     zero, one = _block_masks(positions, np.min_scalar_type((1 << pair_count(n)) - 1))
-    assert len(zero) == len(one) == len(placements) << m
+    half = max(m - 1, 0)
+    assert len(zero) == len(one) == len(placements) << half
     for i in range(len(zero)):
-        row, code = divmod(i, 1 << m)
+        row, code = i >> half, i % (1 << half)
         instance = _cell_instance(n, family, placements[row], code)
         assert (int(zero[i]), int(one[i])) == (_code_mask(instance, 0), _code_mask(instance, 1))
+
+
+_SWAP_ONE_STATE_PAIRS = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([BicoloredGraph, SemicompleteDigraph]).flatmap(
+    lambda kind: _small_instances(kind, n_max=14)
+))
+def test_complement_keeps_the_value(instance):
+    # the oracle and the tournament scans score one instance per complement
+    # pair: swapping both colors, or reversing every arc, keeps the value
+    complement = type(instance)(instance.n, instance.codes.translate(_SWAP_ONE_STATE_PAIRS))
+    solve = max_mono_clique if isinstance(instance, BicoloredGraph) else max_transitive_set
+    assert solve(complement).size == solve(instance).size
 
 
 @settings(max_examples=120, deadline=None)
