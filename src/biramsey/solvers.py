@@ -335,7 +335,9 @@ class _AcyclicSolver:
 
     Branch and bound over (allowed, forced) pairs: ``forced`` vertices may
     not be deleted.  The search starts from its floor and prunes by a
-    vertex-disjoint cycle packing (each packed cycle forces one deletion).
+    vertex-disjoint cycle packing (each packed cycle forces one deletion):
+    directed triangles from a table built once, then cycles that a walk in
+    the :meth:`_core` of what is left closes.
     A node branches on the packed cycle with the fewest free (unforced)
     vertices, and its children are disjoint: the i-th deletes the i-th free
     vertex and forces the ones before it, so no acyclic set is searched
@@ -386,63 +388,31 @@ class _AcyclicSolver:
             mask = core
 
     def _longer_cycle(self, mask: int) -> tuple[int, ...] | None:
-        """Shortest directed cycle within a triangle-free ``mask``.
+        """A directed cycle within ``mask``, following arcs; None if it has
+        none.
 
-        Breadth-first search from every vertex, smallest first, with depth
-        capped by the best cycle found so far; a vertex's tree parent is the
-        first frontier vertex (in discovery order) with an arc to it, and the
-        cycle closes at the first frontier vertex with an arc back to the
-        start.  Without triangles no cycle is shorter than 4, so the first
-        4-cycle ends the search.
-
-        The search runs inside :meth:`_core`, which returns the same cycle:
-        from a start s, only the vertices that s reaches and that reach s
-        back (its strongly connected component) can close the cycle or be
-        tree parents on the way, their order of discovery depends on no
-        other vertex, and the core keeps all of them.
+        A walk inside :meth:`_core` starts at its lowest vertex and follows
+        each vertex's lowest out-arc in the core, until a vertex has an arc
+        back onto the walk; the cycle runs from the latest walk vertex that
+        arc reaches.  Every core vertex has an out-arc inside the core, so
+        the walk always moves on until it closes, and one-way digraphs have
+        no 2-cycles, so the cycle has at least 3 vertices.
         """
-        out, into = self.out, self.into
-        mask = self._core(mask)
-        best: tuple[int, ...] | None = None
-        limit = mask.bit_count() + 1
-        starts = mask
-        while starts:
-            s = (starts & -starts).bit_length() - 1
-            starts &= starts - 1
-            back = into[s] & mask
-            parent = {}
-            seen = reached = 1 << s
-            frontier = [s]
-            depth = 1  # length of the cycles the current frontier can close
-            while True:
-                if reached & back:
-                    cycle = [next(x for x in frontier if back >> x & 1)]
-                    while cycle[-1] != s:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()  # starts at s, follows arcs
-                    best = tuple(cycle)
-                    if len(best) == 4:
-                        return best
-                    limit = len(best)
-                    break
-                depth += 1
-                if depth >= limit:
-                    break
-                nxt: list[int] = []
-                reached = 0
-                for x in frontier:
-                    new = out[x] & mask & ~seen
-                    seen |= new
-                    reached |= new
-                    while new:
-                        y = (new & -new).bit_length() - 1
-                        new &= new - 1
-                        parent[y] = x
-                        nxt.append(y)
-                if not nxt:
-                    break
-                frontier = nxt
-        return best
+        out = self.out
+        core = self._core(mask)
+        if not core:
+            return None
+        v = (core & -core).bit_length() - 1
+        path, on_path = [v], 1 << v
+        while not out[v] & on_path:
+            step = out[v] & core
+            v = (step & -step).bit_length() - 1
+            path.append(v)
+            on_path |= 1 << v
+        start = len(path) - 2
+        while not out[v] >> path[start] & 1:
+            start -= 1
+        return tuple(path[start:])
 
     def max_acyclic(
         self, allowed: int, forced: int = 0, floor: int = -1, ceiling: int | None = None
@@ -484,22 +454,17 @@ class _AcyclicSolver:
         return tails & heads & ~forced
 
     def _cycle_packing(self, allowed: int, enough: int) -> list[tuple[int, ...]]:
-        """Vertex-disjoint directed cycles, greedily shortest-first, stopping
-        at ``enough`` cycles.
+        """Vertex-disjoint directed cycles inside ``allowed``, stopping at
+        ``enough`` cycles: the table's triangles, then any cycle of the core.
 
-        Each cycle is a shortest one of what is left, the first a
-        breadth-first search from each vertex, smallest first, meets.  One-way
-        digraphs carry at most one arc per pair, so the shortest possible
-        cycle is a triangle: from s the search reaches the out-neighbours x
-        of s in ascending order, then theirs, and the first y with an arc
-        back to s closes (s, x, y).  That is the first triangle of s in the
-        table, which lists each triangle under its smallest vertex in (x, y)
-        order, that lies inside what is left; a start with a triangle left
-        is its smallest vertex, as a smaller one would have been a start
-        with a triangle left.  A vertex on no triangle stays on none as the
-        mask shrinks, so the scan resumes after the start of the last
-        triangle; once no triangle is left, :meth:`_longer_cycle` searches
-        for the rest.
+        Any disjoint cycles bound the deletions from below, each costing
+        one; triangles, the shortest cycles a one-way digraph can hold, go
+        first, as they leave the most vertices for the rest.  Each is the
+        first triangle in the table, which lists each triangle under its
+        smallest vertex in (x, y) order, that lies inside what is left.  A
+        vertex on no triangle stays on none as the mask shrinks, so the scan
+        resumes after the start of the last triangle; once no triangle is
+        left, :meth:`_longer_cycle` walks to each further cycle.
         """
         triangles = self._triangles
         packing: list[tuple[int, ...]] = []
@@ -637,10 +602,10 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
 
     The size cap bounds runtime, not memory: the search is exact on an
     NP-hard problem.  On one core of a 2-vCPU x86 host (seeds 1-3), random
-    tournaments take 0.014-0.017 s at n = 28 and 0.05-0.06 s at n = 32,
-    uniform random semicomplete digraphs 0.04-0.06 s at n = 32, 0.08-0.29 s
-    at n = 36 and 0.20-0.48 s at the cap, n = 40, where the traced peak of
-    Python allocations is about 0.05 MB.
+    tournaments take 0.011-0.013 s at n = 28 and 0.035-0.042 s at n = 32,
+    uniform random semicomplete digraphs 0.02-0.04 s at n = 32, 0.05-0.16 s
+    at n = 36 and 0.11-0.35 s at the cap, n = 40, where the traced peak of
+    Python allocations is about 0.07 MB.
     """
     if digraph.n > TRANSITIVE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}")

@@ -978,7 +978,7 @@ def test_max_acyclic_matches_subset_enumeration(case):
     solver = _AcyclicSolver(d.n, out)
     for allowed, forced, add_cycle, floor_choice, ceiling_choice in queries:
         forced &= allowed
-        cycle = _reference_shortest_cycle(out, allowed) if add_cycle else None
+        cycle = _reference_cycle(out, allowed) if add_cycle else None
         if cycle is not None:
             forced |= sum(1 << v for v in cycle)
         opt = _max_acyclic_by_enumeration(out, allowed, forced)
@@ -1017,59 +1017,26 @@ def test_max_acyclic_stops_at_its_ceiling(n, seed):
 # --- cycle search --------------------------------------------------------------
 
 
-def _reference_shortest_cycle(out, mask):
-    """Dictionary breadth-first search from every vertex, smallest first,
-    depth capped by the best cycle so far: the cycle search the bitmask
-    version must reproduce tuple for tuple."""
-    best = None
-    m = mask
-    while m:
-        s = (m & -m).bit_length() - 1
-        m &= m - 1
-        parent = {s: -1}
-        frontier = [s]
-        found = None
-        depth = 0
-        while frontier and found is None:
-            depth += 1
-            if best is not None and depth >= len(best):
-                break
-            nxt = []
-            for x in frontier:
-                targets = out[x] & mask
-                while targets:
-                    y = (targets & -targets).bit_length() - 1
-                    targets &= targets - 1
-                    if y == s:
-                        found = x
-                        break
-                    if y not in parent:
-                        parent[y] = x
-                        nxt.append(y)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is not None:
-            cycle = [found]
-            while cycle[-1] != s:
-                cycle.append(parent[cycle[-1]])
-            cycle.reverse()
-            if best is None or len(cycle) < len(best):
-                best = tuple(cycle)
-                if len(best) == 3:
-                    return best
-    return best
+def _reference_cycle(out, mask):
+    """Some directed cycle inside ``mask``, following arcs, by a recursive
+    depth-first search that closes at its first arc onto its own stack; None
+    if ``mask`` is acyclic."""
+    done = 0
 
+    def visit(stack):
+        nonlocal done
+        for y in _mask_bits(out[stack[-1]] & mask & ~done):
+            cycle = tuple(stack[stack.index(y):]) if y in stack else visit(stack + [y])
+            if cycle:
+                return cycle
+        done |= 1 << stack[-1]
+        return None
 
-def _reference_packing(out, mask):
-    packing = []
-    while True:
-        cycle = _reference_shortest_cycle(out, mask)
-        if cycle is None:
-            return packing
-        packing.append(cycle)
-        for v in cycle:
-            mask &= ~(1 << v)
+    for s in _mask_bits(mask):
+        cycle = None if done >> s & 1 else visit([s])
+        if cycle:
+            return cycle
+    return None
 
 
 def _one_way_digraphs(rng):
@@ -1110,31 +1077,73 @@ def _one_way_digraphs(rng):
         yield out
 
 
-def test_cycle_search_matches_dictionary_bfs():
-    from biramsey.solvers import _AcyclicSolver
+def _first_triangle(out, mask):
+    """The directed triangle (s, x, y) inside ``mask`` with s its smallest
+    vertex that comes first in lexicographic order; None if there is none."""
+    triangles = [
+        (a, b, c) if out[a] >> b & 1 else (a, c, b)
+        for a, b, c in combinations(_mask_bits(mask), 3)
+        if (out[a] >> b & out[b] >> c & out[c] >> a | out[a] >> c & out[c] >> b & out[b] >> a) & 1
+    ]
+    return min(triangles, default=None)
+
+
+def test_cycle_packing_returns_disjoint_cycles_inside_the_mask():
+    # any vertex-disjoint cycles bound the deletions from below: at most k
+    # cycles of the mask, each following arcs, pairwise disjoint; with
+    # k >= n what is left is acyclic, and a mask with a triangle opens with
+    # the lexicographically first one
+    from biramsey.solvers import _AcyclicSolver, _subset_is_acyclic
 
     rng = np.random.default_rng(3030)
-    longer = 0
+    walked = 0
     for out in _one_way_digraphs(rng):
         n = len(out)
         solver = _AcyclicSolver(n, out)
-        masks = [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(12)]
-        for mask in masks:
-            expected = _reference_shortest_cycle(out, mask)
-            assert solver._cycle_packing(mask, 1) == ([] if expected is None else [expected])
-            assert solver._cycle_packing(mask, n) == _reference_packing(out, mask)
-            longer += expected is not None and len(expected) > 3
-    assert longer >= 100  # the triangle-free fallback ran
+        for mask in [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(12)]:
+            triangle = _first_triangle(out, mask)
+            for k in (1, 2, n):
+                packing = solver._cycle_packing(mask, k)
+                assert len(packing) <= k
+                assert bool(packing) != _subset_is_acyclic(mask, out)
+                used = 0
+                for cycle in packing:
+                    vertices = sum(1 << v for v in cycle)
+                    assert len(cycle) >= 3 and vertices.bit_count() == len(cycle)
+                    assert vertices & mask == vertices and not vertices & used
+                    assert all(out[u] >> cycle[(i + 1) % len(cycle)] & 1 for i, u in enumerate(cycle))
+                    used |= vertices
+                if triangle is not None:
+                    assert packing[0] == triangle
+                if k == n:
+                    assert _subset_is_acyclic(mask & ~used, out)
+                    walked += sum(len(cycle) > 3 for cycle in packing)
+    assert walked >= 100  # cycles the walk closed once no triangle was left
 
 
-def test_longer_cycle_moves_on_from_a_start_whose_search_runs_out():
+def test_longer_cycle_walks_past_a_lowest_vertex_on_no_cycle():
     # 0 sits on no cycle but stays in the core, between the 4-cycles
-    # 1-2-3-4 and 5-6-7-8: its search reaches 5..8 and runs out of vertices
+    # 1-2-3-4 and 5-6-7-8, and is its lowest vertex: the walk leaves it for
+    # 5 and closes 5-6-7-8
     from biramsey.solvers import _AcyclicSolver, _one_way_out_masks
 
     arcs = {(1, 2), (2, 3), (3, 4), (4, 1), (1, 0), (0, 5), (5, 6), (6, 7), (7, 8), (8, 5)}
     out = _one_way_out_masks(SemicompleteDigraph.from_arcs(9, arcs))
-    assert _AcyclicSolver(9, out)._longer_cycle((1 << 9) - 1) == (1, 2, 3, 4)
+    assert _AcyclicSolver(9, out)._longer_cycle((1 << 9) - 1) == (5, 6, 7, 8)
+
+
+def test_transitive_solver_on_sparse_and_triangle_free_digraphs():
+    # _small_instances seldom lacks triangles; here the bipartite
+    # orientations and chorded C_4..C_9 have none, so every packed cycle
+    # comes from the walk
+    rng = np.random.default_rng(4141)
+    for out in _one_way_digraphs(rng):
+        n = len(out)
+        d = SemicompleteDigraph.from_arcs(n, {(u, v) for u in range(n) for v in _mask_bits(out[u])})
+        res = max_transitive_set(d)
+        assert res.size == max_transitive_set_by_enumeration(d)
+        assert res.witness.vertices == _lex_min_acyclic_optimum(d)
+        assert verify_witness(d, res.witness)
 
 
 # --- mask reachability helpers -------------------------------------------------
