@@ -337,7 +337,7 @@ class _AcyclicSolver:
     not be deleted.  The search starts from its floor and prunes by a
     vertex-disjoint cycle packing (each packed cycle forces one deletion):
     directed triangles from a table built once, then cycles that a walk in
-    the :meth:`_core` of what is left closes.
+    the :meth:`_core` of what is left closes, each kept as its vertex mask.
     A node branches on the packed cycle with the fewest free (unforced)
     vertices, and its children are disjoint: the i-th deletes the i-th free
     vertex and forces the ones before it, so no acyclic set is searched
@@ -359,13 +359,13 @@ class _AcyclicSolver:
         self.nodes = 0
         self.found = 0  # the set of the leaf that last raised the best size
         self._ceiling = n
-        # each directed triangle s -> x -> y -> s under its smallest vertex s,
-        # in (x, y) order, with its vertex mask
-        self._triangles: list[list[tuple[int, tuple[int, int, int]]]] = []
+        # the vertex mask of each directed triangle s -> x -> y -> s under its
+        # smallest vertex s, in (x, y) order
+        self._triangles: list[list[int]] = []
         for s in range(n):
             above = -2 << s
             self._triangles.append([
-                (1 << s | 1 << x | 1 << y, (s, x, y))
+                1 << s | 1 << x | 1 << y
                 for x in _bits(out[s] & above)
                 for y in _bits(out[x] & into[s] & above)
             ])
@@ -387,9 +387,8 @@ class _AcyclicSolver:
                 return core
             mask = core
 
-    def _longer_cycle(self, mask: int) -> tuple[int, ...] | None:
-        """A directed cycle within ``mask``, following arcs; None if it has
-        none.
+    def _longer_cycle(self, mask: int) -> int:
+        """The mask of a directed cycle within ``mask``; 0 if it has none.
 
         A walk inside :meth:`_core` starts at its lowest vertex and follows
         each vertex's lowest out-arc in the core, until a vertex has an arc
@@ -401,7 +400,7 @@ class _AcyclicSolver:
         out = self.out
         core = self._core(mask)
         if not core:
-            return None
+            return 0
         v = (core & -core).bit_length() - 1
         path, on_path = [v], 1 << v
         while not out[v] & on_path:
@@ -409,10 +408,11 @@ class _AcyclicSolver:
             v = (step & -step).bit_length() - 1
             path.append(v)
             on_path |= 1 << v
-        start = len(path) - 2
+        cycle, start = 1 << v, len(path) - 2
         while not out[v] >> path[start] & 1:
+            cycle |= 1 << path[start]
             start -= 1
-        return tuple(path[start:])
+        return cycle | 1 << path[start]
 
     def max_acyclic(
         self, allowed: int, forced: int = 0, floor: int = -1, ceiling: int | None = None
@@ -453,9 +453,9 @@ class _AcyclicSolver:
             heads |= out[y]
         return tails & heads & ~forced
 
-    def _cycle_packing(self, allowed: int, enough: int) -> list[tuple[int, ...]]:
-        """Vertex-disjoint directed cycles inside ``allowed``, stopping at
-        ``enough`` cycles: the table's triangles, then any cycle of the core.
+    def _cycle_packing(self, allowed: int, enough: int) -> list[int]:
+        """Vertex masks of disjoint directed cycles inside ``allowed``, up to
+        ``enough`` of them: the table's triangles, then any cycle of the core.
 
         Any disjoint cycles bound the deletions from below, each costing
         one; triangles, the shortest cycles a one-way digraph can hold, go
@@ -467,24 +467,23 @@ class _AcyclicSolver:
         left, :meth:`_longer_cycle` walks to each further cycle.
         """
         triangles = self._triangles
-        packing: list[tuple[int, ...]] = []
+        packing: list[int] = []
         mask = starts = allowed
         while len(packing) < enough:
-            cycle = None
-            while starts and cycle is None:
+            cycle = 0
+            while starts and not cycle:
                 bit = starts & -starts
                 starts ^= bit
-                for vertices, triangle in triangles[bit.bit_length() - 1]:
-                    if vertices & mask == vertices:
+                for triangle in triangles[bit.bit_length() - 1]:
+                    if triangle & mask == triangle:
                         cycle = triangle
                         break
-            if cycle is None:
+            if not cycle:
                 cycle = self._longer_cycle(mask)
-                if cycle is None:
+                if not cycle:
                     break
             packing.append(cycle)
-            for v in cycle:
-                mask &= ~(1 << v)
+            mask ^= cycle
             starts &= mask
         return packing
 
@@ -502,13 +501,11 @@ class _AcyclicSolver:
             return
         if size - len(packing) <= self._best:
             return
-        # the packed cycle with the fewest free (unforced) vertices
-        branchable = min(
-            ([v for v in cycle if not forced >> v & 1] for cycle in packing), key=len
-        )
+        # the free (unforced) vertices of the packed cycle with the fewest
+        branchable = min((cycle & ~forced for cycle in packing), key=int.bit_count)
         # disjoint children: each S misses some free vertex of the cycle, and
         # the first one it misses is the one child that holds S
-        for v in sorted(branchable):
+        for v in _bits(branchable):
             self._search(allowed & ~(1 << v), forced)
             if self._best >= self._ceiling:
                 return
@@ -602,9 +599,9 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
 
     The size cap bounds runtime, not memory: the search is exact on an
     NP-hard problem.  On one core of a 2-vCPU x86 host (seeds 1-3), random
-    tournaments take 0.011-0.013 s at n = 28 and 0.035-0.042 s at n = 32,
-    uniform random semicomplete digraphs 0.02-0.04 s at n = 32, 0.05-0.16 s
-    at n = 36 and 0.11-0.35 s at the cap, n = 40, where the traced peak of
+    tournaments take 0.008-0.010 s at n = 28 and 0.028-0.033 s at n = 32,
+    uniform random semicomplete digraphs 0.02-0.03 s at n = 32, 0.04-0.13 s
+    at n = 36 and 0.09-0.30 s at the cap, n = 40, where the traced peak of
     Python allocations is about 0.07 MB.
     """
     if digraph.n > TRANSITIVE_SIZE_CAP:

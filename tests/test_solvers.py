@@ -1078,21 +1078,36 @@ def _one_way_digraphs(rng):
 
 
 def _first_triangle(out, mask):
-    """The directed triangle (s, x, y) inside ``mask`` with s its smallest
-    vertex that comes first in lexicographic order; None if there is none."""
+    """The vertex mask of the directed triangle (s, x, y) inside ``mask``
+    with s its smallest vertex that comes first in lexicographic order; 0 if
+    there is none."""
     triangles = [
         (a, b, c) if out[a] >> b & 1 else (a, c, b)
         for a, b, c in combinations(_mask_bits(mask), 3)
         if (out[a] >> b & out[b] >> c & out[c] >> a | out[a] >> c & out[c] >> b & out[b] >> a) & 1
     ]
-    return min(triangles, default=None)
+    return sum(1 << v for v in min(triangles, default=()))
+
+
+def _is_cycle_set(out, vertices):
+    """True iff a directed cycle runs through every vertex of ``vertices``
+    along arcs inside it: a depth-first search over the simple paths from
+    its lowest vertex for a Hamiltonian one that closes."""
+    start = _mask_bits(vertices)[0]
+
+    def extend(v, seen):
+        if seen == vertices:
+            return bool(out[v] >> start & 1)
+        return any(extend(w, seen | 1 << w) for w in _mask_bits(out[v] & vertices & ~seen))
+
+    return extend(start, 1 << start)
 
 
 def test_cycle_packing_returns_disjoint_cycles_inside_the_mask():
     # any vertex-disjoint cycles bound the deletions from below: at most k
-    # cycles of the mask, each following arcs, pairwise disjoint; with
-    # k >= n what is left is acyclic, and a mask with a triangle opens with
-    # the lexicographically first one
+    # vertex sets of the mask, each that of a directed cycle, pairwise
+    # disjoint; with k >= n what is left is acyclic, and a mask with a
+    # triangle opens with the lexicographically first one
     from biramsey.solvers import _AcyclicSolver, _subset_is_acyclic
 
     rng = np.random.default_rng(3030)
@@ -1108,17 +1123,42 @@ def test_cycle_packing_returns_disjoint_cycles_inside_the_mask():
                 assert bool(packing) != _subset_is_acyclic(mask, out)
                 used = 0
                 for cycle in packing:
-                    vertices = sum(1 << v for v in cycle)
-                    assert len(cycle) >= 3 and vertices.bit_count() == len(cycle)
-                    assert vertices & mask == vertices and not vertices & used
-                    assert all(out[u] >> cycle[(i + 1) % len(cycle)] & 1 for i, u in enumerate(cycle))
-                    used |= vertices
-                if triangle is not None:
+                    assert cycle.bit_count() >= 3
+                    assert cycle & mask == cycle and not cycle & used
+                    assert _is_cycle_set(out, cycle)
+                    used |= cycle
+                if triangle:
                     assert packing[0] == triangle
                 if k == n:
                     assert _subset_is_acyclic(mask & ~used, out)
-                    walked += sum(len(cycle) > 3 for cycle in packing)
+                    walked += sum(cycle.bit_count() > 3 for cycle in packing)
     assert walked >= 100  # cycles the walk closed once no triangle was left
+
+
+def test_cycle_packing_takes_greedy_triangles_then_only_longer_cycles():
+    # the triangle phase: the packing opens with the lexicographically first
+    # triangle, then the first of what it leaves, and so on; once no
+    # triangle is left none comes back as the mask shrinks, so every later
+    # cycle has at least 4 vertices
+    from biramsey.solvers import _AcyclicSolver
+
+    rng = np.random.default_rng(3030)
+    triangles = mixed = 0
+    for out in _one_way_digraphs(rng):
+        n = len(out)
+        solver = _AcyclicSolver(n, out)
+        for mask in [(1 << n) - 1] + [int(rng.integers(0, 1 << n)) for _ in range(12)]:
+            greedy, left = [], mask
+            while triangle := _first_triangle(out, left):
+                greedy.append(triangle)
+                left ^= triangle
+            for k in (1, 2, n):
+                packing = solver._cycle_packing(mask, k)
+                assert packing[: len(greedy)] == greedy[:k]
+                assert all(cycle.bit_count() >= 4 for cycle in packing[len(greedy):])
+                triangles += min(k, len(greedy))
+                mixed += 0 < len(greedy) < len(packing)
+    assert triangles >= 2000 and mixed  # some packings hold both kinds
 
 
 def test_longer_cycle_walks_past_a_lowest_vertex_on_no_cycle():
@@ -1129,7 +1169,7 @@ def test_longer_cycle_walks_past_a_lowest_vertex_on_no_cycle():
 
     arcs = {(1, 2), (2, 3), (3, 4), (4, 1), (1, 0), (0, 5), (5, 6), (6, 7), (7, 8), (8, 5)}
     out = _one_way_out_masks(SemicompleteDigraph.from_arcs(9, arcs))
-    assert _AcyclicSolver(9, out)._longer_cycle((1 << 9) - 1) == (5, 6, 7, 8)
+    assert _AcyclicSolver(9, out)._longer_cycle((1 << 9) - 1) == 0b111100000  # {5, 6, 7, 8}
 
 
 def test_transitive_solver_on_sparse_and_triangle_free_digraphs():
