@@ -9,7 +9,6 @@ destined for human-readable reports are 64-bit floats and flagged as such.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -44,6 +43,13 @@ EULER_UPPER = Fraction(27183, 10000)
 # below the cap reaches it.
 _LLL_N_CAP = 2**128
 _LLL_K_CAP = 2 * 128 + 1
+
+# exact moment work caps: moment_compare at population = draws = 1000 and a
+# base with a 10-bit numerator and denominator takes about 1.3 s on one x86
+# core, and the time grows steeply with both.  A population within its cap
+# gives a success probability within the bit cap.
+_MOMENT_N_CAP = 1000
+_MOMENT_BITS_CAP = 10
 
 
 class ParameterOutOfRange(ValueError):
@@ -138,33 +144,36 @@ def first_moment_bound(p: "Fraction | float | int", n: int) -> BoundReport:
 
 
 def blowup_bound(p: "Fraction | float | int", n: int) -> BoundReport:
-    """Upper bound from the blow-up construction at density p: pick the
-    smallest t with p <= 1 - 1/t, i.e. t = ceil(1/(1-p)), and report
-    2*t*log2(n/t)."""
+    """Upper bound from the blow-up construction at density p: t =
+    ceil(1/(1-p)) near-equal classes, the fewest with p <= 1 - 1/t, each
+    adding its Erdos-Moser ceiling floor(2*log2 s) + 1 for s vertices.  An
+    exact integer, or None when t > n would leave a class empty."""
     p = Fraction(p)
     if not 0 < p < 1:
         raise ParameterOutOfRange(f"density p={p} outside (0, 1)")
     if n < 2:
         raise ParameterOutOfRange("need n >= 2")
-    if n > sys.float_info.max:  # n / t would overflow the float division
-        raise ParameterOutOfRange("the blow-up bound needs n within float range")
     t = math.ceil(1 / (1 - p))
-    value = 2 * t * math.log2(n / t)
+    size, big = divmod(n, t)  # big classes of size + 1, the rest of size
+    value = None
+    if size:
+        value = big * ((size + 1) ** 2).bit_length() + (t - big) * (size**2).bit_length()
     return BoundReport(
-        "blow-up-upper", "upper", value, False,
+        "blow-up-upper", "upper", value, True,
         "blow-up-partition", {"p": p, "n": n, "t": t},
     )
 
 
 def best_upper_bound(p: "Fraction | float | int", n: int) -> BoundReport:
     """Minimum of the two density-driven upper bounds; the first-moment
-    route wins at small p, the blow-up route at large p."""
+    route wins at small p, the blow-up route at large p.  A blow-up bound
+    with no value (more classes than vertices) does not compete."""
     candidates = [first_moment_bound(p, n)]
     if Fraction(p) > 0:
         candidates.append(blowup_bound(p, n))
-    best = min(candidates, key=lambda r: r.value)
+    best = min((r for r in candidates if r.value is not None), key=lambda r: r.value)
     return BoundReport(
-        "best-upper", "upper", best.value, False, best.source,
+        "best-upper", "upper", best.value, best.exact, best.source,
         {"p": Fraction(p), "n": n, "winner": best.name},
     )
 
@@ -173,12 +182,21 @@ def best_upper_bound(p: "Fraction | float | int", n: int) -> BoundReport:
 # Exact-rational moment computations
 
 
+def _check_moment_bits(value: Fraction, name: str) -> None:
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > _MOMENT_BITS_CAP:
+        raise ParameterOutOfRange(
+            f"{name} numerator or denominator above the moment cap of {_MOMENT_BITS_CAP} bits"
+        )
+
+
 def hypergeometric_pmf(population: int, successes: int, draws: int) -> list[Fraction]:
     """P(Z = t) for t = 0..draws, drawing without replacement."""
     if not (0 <= successes <= population and 0 <= draws <= population):
         raise ParameterOutOfRange(
             f"bad hypergeometric parameters ({population}, {successes}, {draws})"
         )
+    if population > _MOMENT_N_CAP:
+        raise ParameterOutOfRange(f"population above the moment cap {_MOMENT_N_CAP}")
     denom = comb(population, draws)
     return [
         Fraction(comb(successes, t) * comb(population - successes, draws - t), denom)
@@ -189,8 +207,11 @@ def hypergeometric_pmf(population: int, successes: int, draws: int) -> list[Frac
 def binomial_pmf(draws: int, success_probability: Fraction) -> list[Fraction]:
     """P(Y = t) for t = 0..draws, drawing with replacement."""
     p = Fraction(success_probability)
+    _check_moment_bits(p, "probability")
     if not 0 <= p <= 1:
         raise ParameterOutOfRange(f"probability {p} outside [0, 1]")
+    if draws > _MOMENT_N_CAP:
+        raise ParameterOutOfRange(f"draws above the moment cap {_MOMENT_N_CAP}")
     q = 1 - p
     return [comb(draws, t) * p**t * q ** (draws - t) for t in range(draws + 1)]
 
@@ -204,6 +225,7 @@ def moment_compare(
     the binomial side; the caller asserts it.
     """
     base = Fraction(base)
+    _check_moment_bits(base, "base")
     if base < 1:
         raise ParameterOutOfRange(f"base {base} must be at least 1")
     if population < 1:

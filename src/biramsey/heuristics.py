@@ -26,11 +26,12 @@ so its sets and means equal the one-trial-at-a-time rule; prefix bitsets
 over the permutation positions count earlier neighbours in n * ceil(n / 64)
 uint64 words per trial at any density, and only the trials that tie for
 the top size are mapped back to vertices.  It derives the PCG64 states of
-split(seed, i) in bulk (SeedSequence's uint32 hash and PCG64's 128-bit
-seeding step run over arrays of i) and writes each in place into one reused
-Generator's C state.  Each call checks trial 0's state against
-``default_rng(split_seed(seed, 0))``, reads the order of the state words in
-memory off it, and reads trial 1's write back through ``bit_generator.state``.
+split(seed, i) in bulk (numpy's SeedSequence hashes the seed once; mixing in
+i and PCG64's 128-bit seeding step run over arrays of i) and writes each in
+place into one reused Generator's C state.  Each call checks trial 0's
+state against ``default_rng(split_seed(seed, 0))``, reads the order of the
+state words in memory off it, and reads trial 1's write back through
+``bit_generator.state``.
 Trial indices are one 32-bit word, so best-of-trials takes fewer than 2^32
 trials.
 All expectations are exact rationals; guarantee comparisons are decidable.
@@ -101,14 +102,6 @@ _MASK64 = (1 << 64) - 1
 _SEED_CHUNK = 1 << 12  # trials whose streams are derived together
 
 
-def _uint32_words(x: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int (at least one)."""
-    words = [x & _MASK32]
-    while x := x >> 32:
-        words.append(x & _MASK32)
-    return words
-
-
 def _hasher(const: int, mult: int):
     """SeedSequence's multiplicative hash; ``const`` advances per call."""
 
@@ -132,24 +125,18 @@ def _pcg64_states(seed: int, first: int, count: int) -> np.ndarray:
     (all below 2^32), as a (count, 4) uint64 array: state low, state high,
     inc low, inc high.
 
-    SeedSequence hashes its entropy words (the seed's words padded to the
-    pool size, then the spawn-key word i) into a pool of four words and
-    expands the pool into PCG64's 128-bit seed and increment.  All of it is
-    uint32 arithmetic, here on arrays that run over i.
+    numpy's ``SeedSequence(seed).pool`` holds the four words the seed hashes
+    into, after 4 * max(4, words) hash steps for a seed of that many 32-bit
+    words.  Mixing spawn word i into the pool and expanding it into PCG64's
+    128-bit seed and increment run as uint32 arithmetic over arrays of i.
     """
-    words = _uint32_words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(count, w, dtype=np.uint32) for w in words]
-    entropy.append(np.arange(first, first + count, dtype=np.int64).astype(np.uint32))
-    hash_word = _hasher(_INIT_A, _MULT_A)
-    pool = [hash_word(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hash_word(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hash_word(word))
+    words = max(_POOL_SIZE, -(-int(seed).bit_length() // 32))
+    hash_word = _hasher(_INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32, _MULT_A)
+    spawn = np.arange(first, first + count, dtype=np.int64).astype(np.uint32)
+    pool = [
+        _mix(np.full(count, w, dtype=np.uint32), hash_word(spawn))
+        for w in np.random.SeedSequence(seed).pool.tolist()
+    ]
     hash_word = _hasher(_INIT_B, _MULT_B)
     out = [hash_word(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
     # little-endian word pairs give seed high, seed low, inc high, inc low

@@ -22,6 +22,7 @@ from biramsey.bounds import (
     lower_bound_formulas,
     moment_compare,
 )
+from biramsey.solvers import brute_force_F
 
 
 def _by_name(reports):
@@ -67,10 +68,32 @@ def test_first_moment_rejects_density_one():
 
 
 def test_blowup_bound_examples():
+    # t classes of 1024 / t vertices, each adding floor(2*log2(1024 / t)) + 1
     r = blowup_bound(Fraction(1, 2), 1024)
-    assert r.params["t"] == 2 and r.value == 36.0
+    assert r.params["t"] == 2 and r.value == 38 and r.exact
     r = blowup_bound(Fraction(3, 4), 1024)
-    assert r.params["t"] == 4 and r.value == 64.0
+    assert r.params["t"] == 4 and r.value == 68 and r.exact
+    # three near-equal classes of 2, 2 and 1 vertices: 3 + 3 + 1
+    r = blowup_bound(Fraction(2, 3), 5)
+    assert r.params["t"] == 3 and r.value == 7
+    # ten classes on eight vertices: no split, and the counting bound wins
+    r = blowup_bound(Fraction(9, 10), 8)
+    assert r.params["t"] == 10 and r.value is None
+    r = best_upper_bound(Fraction(99999, 100000), 64)
+    assert r.params["winner"] == "first-moment-upper"
+    assert r.value == first_moment_bound(Fraction(99999, 100000), 64).value
+
+
+def test_blowup_bound_is_at_least_the_oracle_value():
+    checked = 0
+    for n in range(2, 7):
+        total = n * (n - 1) // 2
+        for m in range(1, total):
+            value = blowup_bound(Fraction(total - m, total), n).value
+            if value is not None:
+                assert value >= brute_force_F(n, m).value, (n, m)
+                checked += 1
+    assert checked == 26
 
 
 def test_upper_bound_crossover_on_density_grid():
@@ -240,6 +263,14 @@ def test_lower_bound_formulas_range_checks():
         (lower_bound_formulas, (0, 0)),
         (blowup_bound, (Fraction(1, 2), 1)),  # n below 2
         (binomial_moment_identity, (0, 0, 0, 0)),  # empty population
+        # one past the moment caps: a population or draws of 1000, 10-bit rationals
+        (hypergeometric_pmf, (1001, 0, 0)),
+        (binomial_pmf, (1001, Fraction(1, 2))),
+        (binomial_pmf, (4, Fraction(1, 1024))),
+        (moment_compare, (1001, 500, 500, 2)),
+        (moment_compare, (8, 4, 4, 1024)),
+        (moment_compare, (8, 4, 4, Fraction(1025, 1024))),
+        (binomial_moment_identity, (1001, 500, 500, 2)),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

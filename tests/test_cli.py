@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -248,17 +249,29 @@ def test_bound_degenerate_density_is_usage_error():
 @pytest.mark.parametrize(
     "argv,message",
     [
-        # n / t beyond float range
-        (["blowup", "--p", "1/2", "--n", str(10**400)],
-         "the blow-up bound needs n within float range"),
-        (["best-upper", "--p", "1/2", "--n", str(10**400)],
-         "the blow-up bound needs n within float range"),
+        # exact moment sums over more than 1000 pmf terms, or powers of a
+        # base wider than 10 bits; named, so the cases below keep their ids
+        pytest.param(
+            ["moments", "--population", "1001", "--successes", "500", "--draws", "500"],
+            "population above the moment cap 1000", id="moments-population-past-cap"),
+        pytest.param(
+            ["moments", "--base", "1025/1024"],
+            "base numerator or denominator above the moment cap of 10 bits",
+            id="moments-base-denominator-past-cap"),
         # unbounded big-integer work: a threshold scan past n = 2^128, and
         # 2^C(k, 2) at k = 100000 (625 MB)
         (["lll-threshold", "--n", str(10**300)], "n above the local-lemma cap 2^128"),
         (["lll-threshold", "--n", str(2**128 + 1)], "n above the local-lemma cap 2^128"),
         (["lll", "--n", str(10**300), "--k", "5"], "n above the local-lemma cap 2^128"),
         (["lll", "--n", str(10**30), "--k", "100000"], "k above the local-lemma cap 257"),
+        # the population cap through the identity, the bit cap on a numerator
+        pytest.param(
+            ["moment-identity", "--population", "1001", "--draws", "1001", "--k", "2"],
+            "population above the moment cap 1000", id="moment-identity-population-past-cap"),
+        pytest.param(
+            ["moments", "--base", "1024"],
+            "base numerator or denominator above the moment cap of 10 bits",
+            id="moments-base-numerator-past-cap"),
     ],
 )
 def test_bound_refuses_huge_parameters_at_once(argv, message):
@@ -267,6 +280,15 @@ def test_bound_refuses_huge_parameters_at_once(argv, message):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["blowup", "best-upper"])
+def test_bound_blowup_is_exact_beyond_float_range(name):
+    # two classes of 5 * 10^399 vertices, each adding floor(2*log2 s) + 1
+    value = 2 * (math.floor(2 * math.log2(5 * 10**399)) + 1)
+    code, out, _ = run_cli(["bound", name, "--p", "1/2", "--n", str(10**400)])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[1:4] == ["upper", "true", str(value)]
 
 
 def test_bound_local_lemma_at_its_caps():

@@ -334,9 +334,12 @@ def test_block_engine_matches_serial_rule(monkeypatch, block, max_earlier):
 # --- bulk-derived trial streams ----------------------------------------------
 
 
-# one-word seeds at both ends of a word, two words, three words, and five
-# words (more than the four-word pool: the third mixing phase)
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3 * 2**64 + 7]
+# one-word seeds at both ends of a word, two words, three words, four words
+# (the most whose pool hash takes 4 * 4 steps), five words (more than the
+# four-word pool) and 32 words
+STREAM_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128 + 3 * 2**64 + 7, 2**1000 + 3,
+]
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
