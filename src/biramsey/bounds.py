@@ -210,6 +210,8 @@ def binomial_pmf(draws: int, success_probability: Fraction) -> list[Fraction]:
     _check_moment_bits(p, "probability")
     if not 0 <= p <= 1:
         raise ParameterOutOfRange(f"probability {p} outside [0, 1]")
+    if draws < 0:
+        raise ParameterOutOfRange(f"negative draws {draws}")
     if draws > _MOMENT_N_CAP:
         raise ParameterOutOfRange(f"draws above the moment cap {_MOMENT_N_CAP}")
     q = 1 - p

@@ -36,13 +36,16 @@ vertex order only changes how fast a search runs: each entry point packs
 its masks on the search's labels, decides its witness there, and maps
 only the finished witness back to the input labels.
 
-Both branch-and-bound searches take a private ``floor``: a maximum at or
-below it reads as the floor, so a search that only has to beat a known
-size, or decide whether one is reached, prunes from the start.  Both also
-take a ``ceiling``, a known upper bound at which they stop.  Neither keeps
-a memo, so their memory does not grow with the nodes they visit.
+Both branch-and-bound searches answer one question, ``max_size(allowed,
+forced, floor, ceiling)``: the size of a largest set S with forced <= S <=
+allowed.  A maximum at or below ``floor`` reads as the floor, so a search
+that only has to beat a known size, or decide whether one is reached,
+prunes from the start; at ``ceiling``, a known upper bound, it stops.  Each
+keeps in ``found`` the set that last raised its best size, and neither
+keeps a memo, so their memory does not grow with the nodes they visit.
 Both pick their witness with one loop, :func:`_lex_min_subset`, which asks
-each vertex in turn, in input-label order, a yes/no question of the search.
+each vertex in turn, in input-label order, whether a maximum holds it, and
+answers from the maxima found so far where it can.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -136,20 +139,31 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= bit
 
 
-def _lex_min_subset(vertices: list[int], target: int, extends: Callable[[int, int, int], bool]) -> int:
-    """First ``target``-subset of ``vertices``, in their listed order, with
-    a hereditary property that some such subset has: each v in turn is
-    kept iff ``extends(kept, v, higher)`` says the vertices kept so far plus
-    v grow to one with vertices of ``higher``, those listed after v."""
+def _lex_min_subset(vertices: list[int], target: int, solver: _CliqueSolver | _AcyclicSolver) -> int:
+    """First ``target``-subset of ``vertices``, in their listed order, that
+    is a maximum of ``solver``, whose maximum over ``vertices`` is
+    ``target`` and whose ``found`` is one such set.  Each v in turn is kept
+    iff some maximum holds the vertices kept so far plus v and otherwise
+    only vertices listed after v.  A maximum found so far that holds them
+    answers yes without a search; otherwise ``solver.max_size`` decides
+    between a floor of ``target - 1`` and a ceiling of ``target``, and the
+    maximum a yes finds joins them."""
     higher = [0] * len(vertices)
     for i in range(len(vertices) - 1, 0, -1):
         higher[i - 1] = higher[i] | 1 << vertices[i]
+    optima = [solver.found]
     kept = 0
     for v, after in zip(vertices, higher):
         if kept.bit_count() == target:
             break
-        if extends(kept, v, after):
-            kept |= 1 << v
+        keep = kept | 1 << v
+        # a found maximum that holds keep holds no vertex rejected before v:
+        # the first it held would have been kept
+        if any(s & keep == keep for s in optima):
+            kept = keep
+        elif solver.max_size(keep | after, keep, target - 1, target) == target:
+            kept = keep
+            optima.append(solver.found)
     return kept
 
 
@@ -179,27 +193,36 @@ class _CliqueSolver:
         # AND with one drops the vertex and its neighbours
         self.non = [~(a | 1 << v) for v, a in enumerate(adj)]
         self.nodes = 0
+        self.found = 0  # the clique that last raised the best size
 
     def max_size(
-        self, candidates: int | None = None, floor: int = 0, ceiling: int | None = None
+        self, allowed: int | None = None, forced: int = 0, floor: int = 0, ceiling: int | None = None
     ) -> int:
-        """Size of a maximum clique inside ``candidates``.
+        """Size of a maximum clique K with forced <= K <= allowed.
 
-        With a ``floor`` the search only decides whether some clique is
-        larger: a maximum at or below ``floor`` reads as ``floor``.  A
-        ``ceiling`` must be a known upper bound on the maximum; the search
-        stops as soon as it finds a clique that large.
+        With a ``floor`` the search only decides whether some K is larger:
+        a maximum at or below ``floor`` reads as ``floor``, and so does a
+        ``forced`` set that is no clique inside ``allowed``.  A ``ceiling``
+        must be a known upper bound on the maximum; the search stops as soon
+        as it finds a K that large.
         """
-        cand = (1 << self.n) - 1 if candidates is None else candidates
+        cand = (1 << self.n) - 1 if allowed is None else allowed
         self._best = floor
         self._ceiling = self.n if ceiling is None else ceiling
+        for u in _bits(forced):
+            if not cand >> u & 1:
+                return floor  # u is not allowed or misses a forced vertex before it
+            cand &= self.adj[u]
+        if forced.bit_count() > floor:
+            self._best, self.found = forced.bit_count(), forced
         if cand:
-            self._expand(cand, 0)
+            self._expand(cand, forced)
         return self._best
 
-    def _expand(self, cand: int, size: int) -> None:
+    def _expand(self, cand: int, clique: int) -> None:
         self.nodes += 1
         adj, non = self.adj, self.non
+        size = clique.bit_count()
         while True:
             # greedy coloring: vertices listed with nondecreasing class
             # number; a class no larger than _best - size is never branched
@@ -226,27 +249,28 @@ class _CliqueSolver:
                 v = order[i]
                 missed = cand & non[v]
                 if not missed & (missed - 1):
-                    cand, size = self._take_forced(cand, size)
+                    cand, clique = self._take_forced(cand, clique)
+                    size = clique.bit_count()
                     if size > self._best:
-                        self._best = size
+                        self._best, self.found = size, clique
                     if not cand or self._best >= self._ceiling:
                         return
                     break  # color what is left
                 nxt = cand & adj[v]
                 if size + 1 > self._best:
-                    self._best = size + 1
+                    self._best, self.found = size + 1, clique | 1 << v
                 if nxt:
-                    self._expand(nxt, size + 1)
+                    self._expand(nxt, clique | 1 << v)
                 if self._best >= self._ceiling:
                     return
                 cand ^= 1 << v
             else:
                 return
 
-    def _take_forced(self, cand: int, size: int) -> tuple[int, int]:
-        """One ascending pass over ``cand`` that takes each vertex missing at
-        most one other candidate; each is tested on the candidates left
-        after the takes before it."""
+    def _take_forced(self, cand: int, clique: int) -> tuple[int, int]:
+        """One ascending pass over ``cand`` that adds to ``clique`` each
+        vertex missing at most one other candidate; each is tested on the
+        candidates left after the takes before it."""
         adj, non = self.adj, self.non
         rest = cand
         while rest:
@@ -255,10 +279,10 @@ class _CliqueSolver:
             v = bit.bit_length() - 1
             missed = cand & non[v]
             if not missed & (missed - 1):
-                size += 1
+                clique |= bit
                 cand &= adj[v]
                 rest &= cand
-        return cand, size
+        return cand, clique
 
 
 def _color_pairs(graph: BicoloredGraph, color: EdgeColor) -> tuple[np.ndarray, np.ndarray]:
@@ -291,9 +315,9 @@ def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
     Ties break to larger size, then red over blue, then the
     lexicographically smallest vertex set.  Only the red search is a full
     maximisation: blue runs against a floor of red's size, which it has to
-    beat to win.  Each color's search, witness extraction included, runs on
-    the labels of :func:`_search_labels`; extraction decides them in
-    input-label order, and only the finished witness is mapped back.
+    beat to win, and the winner's ``found`` seeds :func:`_lex_min_subset`.
+    Each color's search, witness extraction included, runs on the labels
+    of :func:`_search_labels`; only the finished witness is mapped back.
     """
     if graph.n > CLIQUE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {CLIQUE_SIZE_CAP}")
@@ -306,21 +330,7 @@ def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
     blue_size = blue.max_size(floor=red_size)
     solver, order, color = searches[0] if red_size >= blue_size else searches[1]
     size = max(red_size, blue_size)
-    adj = solver.adj
-
-    def extends(kept: int, v: int, higher: int) -> bool:
-        # kept is a clique; no clique is larger than size, so the search for
-        # the need vertices missing is a yes/no one with floor need - 1 and
-        # ceiling need
-        if kept & ~adj[v]:
-            return False
-        common = higher & adj[v]
-        for u in _bits(kept):
-            common &= adj[u]
-        need = size - kept.bit_count() - 1
-        return need == 0 or solver.max_size(common, need - 1, need) == need
-
-    kept = _lex_min_subset(sorted(range(graph.n), key=order.__getitem__), size, extends)
+    kept = _lex_min_subset(sorted(range(graph.n), key=order.__getitem__), size, solver)
     witness = MonoCliqueWitness(tuple(sorted(order[i] for i in _bits(kept))), color)
     return SolveResult(size, witness, red.nodes + blue.nodes)
 
@@ -414,7 +424,7 @@ class _AcyclicSolver:
             start -= 1
         return cycle | 1 << path[start]
 
-    def max_acyclic(
+    def max_size(
         self, allowed: int, forced: int = 0, floor: int = -1, ceiling: int | None = None
     ) -> int:
         """Max size of an acyclic S with forced <= S <= allowed; -1 if none.
@@ -588,14 +598,10 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     pairs are unconstrained and ordered by vertex id).  Ties break to the
     lexicographically smallest vertex set.
 
-    Per strongly connected component, each witness decision asks whether
-    an optimal acyclic set holds the kept vertices and otherwise only
-    higher ones.  An optimal set found so far, the component's first or one
-    that answered an earlier decision, answers yes without a search;
-    otherwise the decision searches between a floor of optimum - 1 and a
-    ceiling of the optimum.  Components, searches and decisions run on
-    the labels of :func:`_search_labels`, decided in input-label order;
-    only the chosen set is mapped back and ordered on the input's masks.
+    Per strongly connected component, one search finds the optimum and
+    :func:`_lex_min_subset` its witness.  Components, searches and
+    decisions run on the labels of :func:`_search_labels`; only the chosen
+    set is mapped back and ordered on the input's masks.
 
     The size cap bounds runtime, not memory: the search is exact on an
     NP-hard problem.  On one core of a 2-vCPU x86 host (seeds 1-3), random
@@ -615,20 +621,8 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
         if comp & (comp - 1) == 0:
             chosen |= comp
             continue
-        target = solver.max_acyclic(comp)
-        optima = [solver.found]
-
-        def extends(kept: int, v: int, higher: int) -> bool:
-            keep = kept | 1 << v
-            # an optimum found so far answers yes without a search
-            if any(s & keep == keep and not s & ~(keep | higher) for s in optima):
-                return True
-            if solver.max_acyclic(keep | higher, keep, target - 1, target) < target:
-                return False
-            optima.append(solver.found)
-            return True
-
-        chosen |= _lex_min_subset([i for i in by_input_label if comp >> i & 1], target, extends)
+        target = solver.max_size(comp)
+        chosen |= _lex_min_subset([i for i in by_input_label if comp >> i & 1], target, solver)
     vertices = tuple(sorted(order[i] for i in _bits(chosen)))
     witness = TransitiveWitness(vertices, _topological_order(vertices, _one_way_out_masks(digraph)))
     return SolveResult(len(vertices), witness, solver.nodes)
@@ -647,27 +641,25 @@ def verify_witness(instance: Instance, witness: Witness) -> bool:
     if isinstance(witness, MonoCliqueWitness):
         if not isinstance(instance, BicoloredGraph):
             raise KindMismatch("clique witness on a non-coloring instance")
-        if witness.vertices and witness.vertices[-1] >= instance.n:
-            raise ValueError("witness vertex out of range")
-        return all(
-            instance.has_color(u, v, witness.color)
-            for u, v in combinations(witness.vertices, 2)
-        )
-    if isinstance(witness, TransitiveWitness):
+    elif isinstance(witness, TransitiveWitness):
         if not isinstance(instance, SemicompleteDigraph):
             raise KindMismatch("transitive witness on a non-digraph instance")
-        if witness.vertices and witness.vertices[-1] >= instance.n:
-            raise ValueError("witness vertex out of range")
-        position = {v: i for i, v in enumerate(witness.order)}
-        for u, v in combinations(witness.vertices, 2):
-            s = instance.state(u, v)
-            if s is ArcState.BIORIENTED:
-                continue
-            tail, head = (u, v) if s is ArcState.FORWARD else (v, u)
-            if position[tail] > position[head]:
-                return False
-        return True
-    raise KindMismatch(f"unknown witness type {type(witness).__name__}")
+    else:
+        raise KindMismatch(f"unknown witness type {type(witness).__name__}")
+    vertices = witness.vertices  # sorted in both kinds
+    if vertices and not (0 <= vertices[0] and vertices[-1] < instance.n):
+        raise ValueError("witness vertex out of range")
+    if isinstance(witness, MonoCliqueWitness):
+        return all(instance.has_color(u, v, witness.color) for u, v in combinations(vertices, 2))
+    position = {v: i for i, v in enumerate(witness.order)}
+    for u, v in combinations(vertices, 2):
+        s = instance.state(u, v)
+        if s is ArcState.BIORIENTED:
+            continue
+        tail, head = (u, v) if s is ArcState.FORWARD else (v, u)
+        if position[tail] > position[head]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,7 @@ def test_lower_bound_formulas_range_checks():
         (moment_compare, (8, 4, 4, 1024)),
         (moment_compare, (8, 4, 4, Fraction(1025, 1024))),
         (binomial_moment_identity, (1001, 500, 500, 2)),
+        (binomial_pmf, (-1, Fraction(1, 2))),  # negative draws
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

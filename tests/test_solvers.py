@@ -360,10 +360,64 @@ def test_clique_reduction_alone_reaches_the_ceiling():
 
     full = (1 << 6) - 1
     adj = [full & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(6)]
-    for candidates, floor in ((None, 0), (full, 2), (full & ~1, 2)):
+    for allowed, floor in ((None, 0), (full, 2), (full & ~1, 2)):
         solver = _CliqueSolver(6, adj)
-        assert solver.max_size(candidates, floor, 3) == 3
+        assert solver.max_size(allowed, floor=floor, ceiling=3) == 3
         assert solver.nodes == 1
+
+
+def _is_clique(adj, mask):
+    return all(adj[u] >> v & 1 for u, v in combinations(_mask_bits(mask), 2))
+
+
+@st.composite
+def _clique_queries(draw):
+    """The red adjacency of a small coloring, dense or sparse, and a few
+    (allowed, forced, trim forced to a clique, floor choice, ceiling
+    choice) queries."""
+    # a quarter of the pairs red: a branch vertex then often meets no other
+    # candidate and is a leaf
+    mostly_blue = st.integers(0, 3).map(lambda x: min(x, 1))
+    g = draw(_small_instances(BicoloredGraph, 9, draw(st.sampled_from((st.integers(0, 2), mostly_blue)))))
+    full = (1 << g.n) - 1
+    query = st.tuples(
+        st.one_of(st.just(full), st.integers(0, full)),
+        st.integers(0, full),
+        st.booleans(),
+        st.sampled_from((-1, 0, 1)),
+        st.sampled_from((None, 0, 1)),
+    )
+    return solvers._color_adjacency(g, EdgeColor.RED), draw(st.lists(query, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clique_queries())
+def test_clique_max_size_matches_subset_enumeration(case):
+    # the clique search's question, as test_max_acyclic_matches_subset_enumeration
+    # asks the acyclic one's: floor choice -1 is no floor, 0 the optimum
+    # minus one, 1 the optimum; ceiling choice None is no ceiling, 0 the
+    # optimum, 1 the optimum plus one.  A forced set that is no clique
+    # reads as the floor, and a result above the floor comes with a found
+    # clique of that size between forced and allowed
+    from biramsey.solvers import _CliqueSolver
+
+    adj, queries = case
+    solver = _CliqueSolver(len(adj), adj)
+    for allowed, forced, trim, floor_choice, ceiling_choice in queries:
+        forced &= allowed
+        if trim:  # keep each vertex of forced adjacent to those kept before it
+            for v in _mask_bits(forced):
+                if forced & ((1 << v) - 1) & ~adj[v]:
+                    forced ^= 1 << v
+        opt = _max_by_enumeration(lambda s: _is_clique(adj, s), allowed, forced)
+        floor = 0 if floor_choice < 0 or opt < 0 else opt - 1 + floor_choice
+        ceiling = None if ceiling_choice is None or opt < 0 else opt + ceiling_choice
+        size = solver.max_size(allowed, forced, floor, ceiling)
+        assert size == max(opt, floor)
+        if size > floor:
+            found = solver.found
+            assert found.bit_count() == size and found & forced == forced and not found & ~allowed
+            assert _is_clique(adj, found)
 
 
 @settings(max_examples=120, deadline=None)
@@ -439,8 +493,10 @@ def test_search_labels_order_by_degree_product(n):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_lex_min_subset_is_the_first_subset_in_list_order(data):
-    # independent sets of a random graph on a shuffled vertex list: the
-    # result is the first target-subset combinations() meets in that order
+    # independent sets of a random graph on a shuffled vertex list, searched
+    # by brute force: the result is the first target-subset combinations()
+    # meets in that order.  The search starts out having found the last
+    # one, so some decisions are answered from found sets, not searches
     from biramsey.solvers import _lex_min_subset
 
     n = data.draw(st.integers(1, 8))
@@ -453,15 +509,26 @@ def test_lex_min_subset_is_the_first_subset_in_list_order(data):
     sizes = [k for k in range(len(vertices) + 1) if any(map(independent, combinations(vertices, k)))]
     target = data.draw(st.sampled_from(sizes))
 
-    def extends(kept, v, higher):
-        keep = _mask_bits(kept | 1 << v)
-        return any(
-            independent(keep + list(more))
-            for more in combinations(_mask_bits(higher), target - len(keep))
-        )
+    targets = [subset for subset in combinations(vertices, target) if independent(subset)]
 
-    first = next(subset for subset in combinations(vertices, target) if independent(subset))
-    assert _lex_min_subset(vertices, target, extends) == sum(1 << v for v in first)
+    class IndependentSets:
+        found = sum(1 << v for v in targets[-1])
+        optima = [found]
+
+        def max_size(self, allowed, forced, floor, ceiling):
+            # the ceiling is target and the floor target - 1, so only
+            # target-sets can answer; no set found so far answers
+            assert (floor, ceiling) == (target - 1, target)
+            assert not any(s & forced == forced and not s & ~allowed for s in self.optima)
+            keep = _mask_bits(forced)
+            for more in combinations(_mask_bits(allowed & ~forced), target - len(keep)):
+                if independent(keep + list(more)):
+                    self.found = forced | sum(1 << v for v in more)
+                    self.optima.append(self.found)
+                    return target
+            return floor
+
+    assert _lex_min_subset(vertices, target, IndependentSets()) == sum(1 << v for v in targets[0])
 
 
 def _into_mask_sizes(n, forward, backward, cap):
@@ -640,6 +707,13 @@ def test_verify_witness_examples():
         verify_witness(all_red, MonoCliqueWitness((0, 4), EdgeColor.RED))
     with pytest.raises(ValueError):
         verify_witness(cyc, TransitiveWitness((0, 3), (0, 3)))
+    # a negative vertex is out of range too, alone or below others
+    with pytest.raises(ValueError, match="out of range"):
+        verify_witness(all_red, MonoCliqueWitness((-1,), EdgeColor.RED))
+    with pytest.raises(ValueError, match="out of range"):
+        verify_witness(all_red, MonoCliqueWitness((-1, 0), EdgeColor.RED))
+    with pytest.raises(ValueError, match="out of range"):
+        verify_witness(cyc, TransitiveWitness((-7,), (-7,)))
 
 
 def test_verify_witness_kind_mismatch():
@@ -861,7 +935,7 @@ def test_acyclic_branching_is_disjoint_and_takes_the_freest_cycle():
 
 
 def test_max_acyclic_deletes_a_closer_before_searching():
-    # the same triangles, 3 and 4 forced through max_acyclic: 5 closes the
+    # the same triangles, 3 and 4 forced through max_size: 5 closes the
     # second triangle with them, so the search starts without it.  Forcing 0
     # deletes nothing (no neighbour of 0 is forced); forcing 1 then deletes
     # 2, which closes the first triangle, and the last child ends the loop
@@ -877,7 +951,7 @@ def test_max_acyclic_deletes_a_closer_before_searching():
         search(allowed, forced)
 
     solver._search = recording
-    assert solver.max_acyclic(0b111111, 0b011000) == 4
+    assert solver.max_size(0b111111, 0b011000) == 4
     assert calls == [
         (0b011111, 0b011000),
         (0b011110, 0b011000),
@@ -931,15 +1005,15 @@ def test_closers_are_the_free_vertices_that_close_a_cycle(case):
     assert closers == expected
 
 
-def _max_acyclic_by_enumeration(out, allowed, forced):
-    """Largest acyclic S with forced <= S <= allowed over every such S, -1
-    if there is none."""
+def _max_by_enumeration(holds, allowed, forced):
+    """Largest S with forced <= S <= allowed for which ``holds(S)``, over
+    every such S; -1 if there is none."""
     free = allowed & ~forced
     best = -1
     sub = free
     while True:
         chosen = forced | sub
-        if chosen.bit_count() > best and _source_peel_is_acyclic(chosen, out):
+        if chosen.bit_count() > best and holds(chosen):
             best = chosen.bit_count()
         if not sub:
             return best
@@ -981,12 +1055,12 @@ def test_max_acyclic_matches_subset_enumeration(case):
         cycle = _reference_cycle(out, allowed) if add_cycle else None
         if cycle is not None:
             forced |= sum(1 << v for v in cycle)
-        opt = _max_acyclic_by_enumeration(out, allowed, forced)
+        opt = _max_by_enumeration(lambda s: _source_peel_is_acyclic(s, out), allowed, forced)
         if cycle is not None:
             assert opt == -1  # the forced set holds a cycle
         floor = -1 if floor_choice < 0 or opt < 0 else opt - 1 + floor_choice
         ceiling = None if ceiling_choice is None or opt < 0 else opt + ceiling_choice
-        assert solver.max_acyclic(allowed, forced, floor, ceiling) == max(opt, floor)
+        assert solver.max_size(allowed, forced, floor, ceiling) == max(opt, floor)
         if ceiling == opt and opt > floor:
             # the ceiling stopped the search at the set that reached it
             found = solver.found
@@ -1004,12 +1078,12 @@ def test_max_acyclic_stops_at_its_ceiling(n, seed):
 
     out = _one_way_out_masks(random_semicomplete(n, seed))
     full = (1 << n) - 1
-    opt = _max_acyclic_by_enumeration(out, full, 0)
+    opt = _max_by_enumeration(lambda s: _source_peel_is_acyclic(s, out), full, 0)
     for floor in (-1, opt - 1):
         free = _AcyclicSolver(n, out)
-        assert free.max_acyclic(full, 0, floor) == opt
+        assert free.max_size(full, 0, floor) == opt
         capped = _AcyclicSolver(n, out)
-        assert capped.max_acyclic(full, 0, floor, opt) == opt
+        assert capped.max_size(full, 0, floor, opt) == opt
         assert capped.found.bit_count() == opt and _subset_is_acyclic(capped.found, out)
         assert capped.nodes < free.nodes
 
