@@ -45,16 +45,6 @@ __all__ = ["cli_main", "main", "DEFAULT_SEED"]
 
 
 # ---------------------------------------------------------------------------
-# oracle cells
-
-
-def _oracle_cell(n: int, m: int, family: str, budget: int) -> tuple[int, str]:
-    _check_oracle_pre(n, m, budget)
-    value, _, text = oracle_cell_slice(n, m, family, 0, comb(pair_count(n), m))
-    return value, text
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -134,10 +124,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     _check_oracle_pre(args.n, args.m, args.budget)  # both families share one estimate
     args.out.mkdir(parents=True, exist_ok=True)
     values: dict[str, tuple[int, Path]] = {}
+    placements = comb(pair_count(args.n), args.m)
     for family, label in families:
-        value, text = _oracle_cell(args.n, args.m, family, args.budget)
+        value, instance = oracle_cell_slice(args.n, args.m, family, 0, placements)
         path = args.out / f"oracle_n{args.n}_m{args.m}_{family}.txt"
-        path.write_text(text)
+        path.write_text(serialize_instance(instance))
         values[label] = (value, path)
         print(f"{label}({args.n},{args.m})={value} instance={path}")
     if args.csv:
@@ -225,6 +216,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _bound_atlas(n_max: int, m_max: "int | None") -> None:
     """CSV of every closed-form value per (n, m) cell."""
+    _check_grid(n_max, m_max)
     print(
         "n,m,clique_exact_small_m,transitive_exact_small_m,"
         "clique_lower,transitive_lower,first_moment_upper,blowup_upper"
@@ -291,7 +283,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+def _check_grid(n_max: int, m_max: "int | None") -> None:
+    """Refuse an atlas range with no cell in it."""
+    if n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {n_max}")
+    if m_max is not None and m_max < 0:
+        raise ValueError(f"--m-max must be at least 0, got {m_max}")
+
+
 def _cmd_atlas(args: argparse.Namespace) -> int:
+    _check_grid(args.n_max, args.m_max)
     print("n,m,f,F,violations")
     prev_f: "int | None" = None
     prev_F: "int | None" = None
@@ -302,12 +303,13 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
         prev_f = prev_F = None
         for m in range(top + 1):
             try:
-                f_val, _ = _oracle_cell(n, m, "coloring", args.budget)
-                big_f, _ = _oracle_cell(n, m, "digraph", args.budget)
+                _check_oracle_pre(n, m, args.budget)  # both families share one estimate
             except BudgetExceeded:
                 print(f"{n},{m},,,skipped-budget")
                 prev_f = prev_F = None
                 continue
+            f_val, _ = oracle_cell_slice(n, m, "coloring", 0, comb(total, m))
+            big_f, _ = oracle_cell_slice(n, m, "digraph", 0, comb(total, m))
             violations: list[str] = []
             # each formula's report checks the oracle value of its family
             computed = {"clique": ("f", f_val), "transitive": ("F", big_f)}

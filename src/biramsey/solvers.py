@@ -712,7 +712,7 @@ def max_transitive_set_by_enumeration(digraph: SemicompleteDigraph) -> int:
 # ---------------------------------------------------------------------------
 # Exhaustive worst-case oracles
 #
-# A cell (n, m) is indexed in one fixed order: placements of the m unicolored
+# A cell (n, m) is scanned in one fixed order: placements of the m unicolored
 # (one-way) pairs in lexicographic order, and for each placement every
 # assignment code 0 .. 2^m - 1 ascending, code bit b deciding the b-th placed
 # pair (1 = red / forward, 0 = blue / backward).  Codes c and c ^ (2^m - 1)
@@ -849,16 +849,12 @@ def _cell_instance(n: int, family: str, placement: tuple[int, ...], code: int) -
     return kind(n, codes.tobytes())
 
 
-def oracle_cell_slice(
-    n: int, m: int, family: str, start: int, stop: int
-) -> tuple[int, int, str]:
+def oracle_cell_slice(n: int, m: int, family: str, start: int, stop: int) -> tuple[int, Instance]:
     """Scan placements [start, stop) of cell (n, m) for ``family``
     ("coloring" or "digraph").
 
-    Returns (value, global attainer index, serialized instance): the
-    smallest maximum substructure over the slice and the first instance in
-    (placement, code) order attaining it, indexed over the whole cell as
-    placement * 2^m + code.
+    Returns (value, instance): the smallest maximum substructure over the
+    slice and the first instance in (placement, code) order attaining it.
     """
     if family not in _SCORERS:
         raise ValueError(f"unknown family {family!r}")
@@ -877,14 +873,13 @@ def oracle_cell_slice(
         if sizes[i] < best:
             best, best_index = int(sizes[i]), (lo << half) + i
     row, code = divmod(best_index, 1 << half)
-    instance = _cell_instance(n, family, placements[row], code)
-    return best, ((start + row) << m) + code, serialize_instance(instance)
+    return best, _cell_instance(n, family, placements[row], code)
 
 
 def _brute_force(n: int, m: int, family: str, budget: int) -> OracleTable:
     _check_oracle_pre(n, m, budget)
-    value, _, text = oracle_cell_slice(n, m, family, 0, comb(pair_count(n), m))
-    return OracleTable(n, m, value, text)
+    value, instance = oracle_cell_slice(n, m, family, 0, comb(pair_count(n), m))
+    return OracleTable(n, m, value, serialize_instance(instance))
 
 
 def brute_force_f(n: int, m: int, budget: int = DEFAULT_ORACLE_BUDGET) -> OracleTable:

@@ -158,6 +158,9 @@ def test_property_moment_inequality_and_identity(data):
     k = data.draw(st.integers(min_value=0, max_value=draws))
     lhs, rhs = binomial_moment_identity(population, successes, draws, k)
     assert lhs == rhs
+    p = Fraction(successes, population)
+    y_moment = sum(math.comb(t, k) * pr for t, pr in enumerate(binomial_pmf(draws, p)))
+    assert y_moment == math.comb(draws, k) * p**k
 
 
 # --- local lemma -------------------------------------------------------------

@@ -397,15 +397,30 @@ def test_atlas_skips_cells_beyond_the_pair_cap():
     assert "7,1,,,skipped-budget" in rows
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["atlas", "--n-max", "-3"], "--n-max must be at least 1, got -3"),
+        (["atlas", "--n-max", "0"], "--n-max must be at least 1, got 0"),
+        (["atlas", "--n-max", "2", "--m-max", "-1"], "--m-max must be at least 0, got -1"),
+        (["bound", "atlas", "--n-max", "0"], "--n-max must be at least 1, got 0"),
+        (["bound", "atlas", "--n-max", "3", "--m-max", "-2"], "--m-max must be at least 0, got -2"),
+    ],
+)
+def test_atlas_refuses_a_range_with_no_cell(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_atlas_reports_every_violated_check(monkeypatch):
     # a wrong oracle: 0 on the diagonal m = n (under both lower formulas),
     # elsewhere far above the exact values, increasing in m and f above F
     from biramsey import cli
 
-    def wrong_cell(n, m, family, budget):
-        return (0 if m == n else (100 if family == "coloring" else 50) + m), ""
+    def wrong_cell(n, m, family, start, stop):
+        return (0 if m == n else (100 if family == "coloring" else 50) + m), None
 
-    monkeypatch.setattr(cli, "_oracle_cell", wrong_cell)
+    monkeypatch.setattr(cli, "oracle_cell_slice", wrong_cell)
     code, out, err = run_cli(["atlas", "--n-max", "3"])
     assert code == 0
     rows = out.strip().splitlines()[1:]
