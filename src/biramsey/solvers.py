@@ -45,7 +45,8 @@ keeps in ``found`` the set that last raised its best size, and neither
 keeps a memo, so their memory does not grow with the nodes they visit.
 Both pick their witness with one loop, :func:`_lex_min_subset`, which asks
 each vertex in turn, in input-label order, whether a maximum holds it, and
-answers from the maxima found so far where it can.
+answers from the maxima found so far where it can.  :func:`optimum` runs
+the searches alone, for callers that read only the size.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ __all__ = [
     "KindMismatch",
     "max_mono_clique",
     "max_transitive_set",
+    "optimum",
     "verify_witness",
     "brute_force_f",
     "brute_force_F",
@@ -139,19 +141,19 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= bit
 
 
-def _lex_min_subset(vertices: list[int], target: int, solver: _CliqueSolver | _AcyclicSolver) -> int:
+def _lex_min_subset(vertices: list[int], target: int, solver: _CliqueSolver | _AcyclicSolver, found: int) -> int:
     """First ``target``-subset of ``vertices``, in their listed order, that
     is a maximum of ``solver``, whose maximum over ``vertices`` is
-    ``target`` and whose ``found`` is one such set.  Each v in turn is kept
-    iff some maximum holds the vertices kept so far plus v and otherwise
-    only vertices listed after v.  A maximum found so far that holds them
+    ``target`` and ``found`` one such set.  Each v in turn is kept iff some
+    maximum holds the vertices kept so far plus v and otherwise only
+    vertices listed after v.  A maximum found so far that holds them
     answers yes without a search; otherwise ``solver.max_size`` decides
     between a floor of ``target - 1`` and a ceiling of ``target``, and the
     maximum a yes finds joins them."""
     higher = [0] * len(vertices)
     for i in range(len(vertices) - 1, 0, -1):
         higher[i - 1] = higher[i] | 1 << vertices[i]
-    optima = [solver.found]
+    optima = [found]
     kept = 0
     for v, after in zip(vertices, higher):
         if kept.bit_count() == target:
@@ -309,30 +311,32 @@ def _search_labels(n: int, ascending: np.ndarray, descending: np.ndarray) -> tup
     return order, _pair_masks(n, ascending, descending, order)
 
 
-def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
-    """Largest monochromatic clique over both colors.
-
-    Ties break to larger size, then red over blue, then the
-    lexicographically smallest vertex set.  Only the red search is a full
-    maximisation: blue runs against a floor of red's size, which it has to
-    beat to win, and the winner's ``found`` seeds :func:`_lex_min_subset`.
-    Each color's search, witness extraction included, runs on the labels
-    of :func:`_search_labels`; only the finished witness is mapped back.
-    """
+def _clique_optimum(graph: BicoloredGraph) -> tuple[int, list[tuple[_CliqueSolver, list[int], EdgeColor]]]:
+    """The optimum and each color's (search, labels, color), the winner first;
+    blue's search only has to beat red's size."""
     if graph.n > CLIQUE_SIZE_CAP:
         raise SizeLimitExceeded(f"n={graph.n} exceeds clique solver cap {CLIQUE_SIZE_CAP}")
     searches = []
     for color in (EdgeColor.RED, EdgeColor.BLUE):
         order, adj = _search_labels(graph.n, *_color_pairs(graph, color))
         searches.append((_CliqueSolver(graph.n, adj), order, color))
-    red, blue = (search[0] for search in searches)
-    red_size = red.max_size()
-    blue_size = blue.max_size(floor=red_size)
-    solver, order, color = searches[0] if red_size >= blue_size else searches[1]
-    size = max(red_size, blue_size)
-    kept = _lex_min_subset(sorted(range(graph.n), key=order.__getitem__), size, solver)
+    red_size = searches[0][0].max_size()
+    blue_size = searches[1][0].max_size(floor=red_size)
+    return max(red_size, blue_size), searches[::-1] if blue_size > red_size else searches
+
+
+def max_mono_clique(graph: BicoloredGraph) -> SolveResult:
+    """Largest monochromatic clique over both colors.
+
+    Ties break to larger size, then red over blue, then the
+    lexicographically smallest vertex set, decided on the winning search's
+    labels (:func:`_search_labels`) and only then mapped back.
+    """
+    size, searches = _clique_optimum(graph)
+    solver, order, color = searches[0]
+    kept = _lex_min_subset(sorted(range(graph.n), key=order.__getitem__), size, solver, solver.found)
     witness = MonoCliqueWitness(tuple(sorted(order[i] for i in _bits(kept))), color)
-    return SolveResult(size, witness, red.nodes + blue.nodes)
+    return SolveResult(size, witness, sum(search[0].nodes for search in searches))
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +460,7 @@ class _AcyclicSolver:
         out, into = self.out, self.into
         if not (out[u] | into[u]) & forced:
             return 0
-        tails = heads = 0
-        for x in _bits(_reach(into, 1 << u, forced)):
-            tails |= into[x]
-        for y in _bits(_reach(out, 1 << u, forced)):
-            heads |= out[y]
-        return tails & heads & ~forced
+        return _union(into, _reach(into, 1 << u, forced)) & _union(out, _reach(out, 1 << u, forced)) & ~forced
 
     def _cycle_packing(self, allowed: int, enough: int) -> list[int]:
         """Vertex masks of disjoint directed cycles inside ``allowed``, up to
@@ -545,14 +544,21 @@ def _transpose(out: list[int], mask: int) -> list[int]:
     return into
 
 
+def _union(masks: list[int], mask: int) -> int:
+    """The union of ``masks[v]`` over the vertices v of ``mask``."""
+    union = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        union |= masks[bit.bit_length() - 1]
+    return union
+
+
 def _reach(out: list[int], seen: int, mask: int) -> int:
     """``seen`` plus every vertex reachable from it along arcs inside ``mask``."""
     frontier = seen
     while frontier:
-        step = 0
-        for v in _bits(frontier):
-            step |= out[v]
-        frontier = step & mask & ~seen
+        frontier = _union(out, frontier) & mask & ~seen
         seen |= frontier
     return seen
 
@@ -591,6 +597,20 @@ def _topological_order(vertices: tuple[int, ...], out: list[int]) -> tuple[int, 
     return tuple(order)
 
 
+def _transitive_optimum(digraph: SemicompleteDigraph) -> tuple[int, list[int], _AcyclicSolver, list[tuple]]:
+    """The optimum, the labels, the solver and each strongly connected
+    component's (mask, optimum, a maximum set): cycles never cross them."""
+    if digraph.n > TRANSITIVE_SIZE_CAP:
+        raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}")
+    order, out = _search_labels(digraph.n, *_one_way_pairs(digraph))
+    solver = _AcyclicSolver(digraph.n, out)
+    parts = [
+        (comp, solver.max_size(comp), solver.found) if comp & (comp - 1) else (comp, 1, comp)
+        for comp in _strongly_connected_components(solver.out, solver.into, (1 << digraph.n) - 1)
+    ]
+    return sum(part[1] for part in parts), order, solver, parts
+
+
 def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     """Largest vertex set whose induced one-way arcs form a DAG.
 
@@ -598,10 +618,9 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     pairs are unconstrained and ordered by vertex id).  Ties break to the
     lexicographically smallest vertex set.
 
-    Per strongly connected component, one search finds the optimum and
-    :func:`_lex_min_subset` its witness.  Components, searches and
-    decisions run on the labels of :func:`_search_labels`; only the chosen
-    set is mapped back and ordered on the input's masks.
+    Components, searches and witness decisions (:func:`_lex_min_subset`)
+    run on the labels of :func:`_search_labels`; only the chosen set is
+    mapped back and ordered on the input's masks.
 
     The size cap bounds runtime, not memory: the search is exact on an
     NP-hard problem.  On one core of a 2-vCPU x86 host (seeds 1-3), random
@@ -610,22 +629,20 @@ def max_transitive_set(digraph: SemicompleteDigraph) -> SolveResult:
     at n = 36 and 0.09-0.30 s at the cap, n = 40, where the traced peak of
     Python allocations is about 0.07 MB.
     """
-    if digraph.n > TRANSITIVE_SIZE_CAP:
-        raise SizeLimitExceeded(f"n={digraph.n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}")
-    order, out = _search_labels(digraph.n, *_one_way_pairs(digraph))
-    solver = _AcyclicSolver(digraph.n, out)
+    size, order, solver, parts = _transitive_optimum(digraph)
     by_input_label = sorted(range(digraph.n), key=order.__getitem__)
     chosen = 0
-    # cycles never cross strongly connected components, so solve per SCC
-    for comp in _strongly_connected_components(solver.out, solver.into, (1 << digraph.n) - 1):
-        if comp & (comp - 1) == 0:
-            chosen |= comp
-            continue
-        target = solver.max_size(comp)
-        chosen |= _lex_min_subset([i for i in by_input_label if comp >> i & 1], target, solver)
+    for comp, target, found in parts:
+        chosen |= _lex_min_subset([i for i in by_input_label if comp >> i & 1], target, solver, found)
     vertices = tuple(sorted(order[i] for i in _bits(chosen)))
     witness = TransitiveWitness(vertices, _topological_order(vertices, _one_way_out_masks(digraph)))
-    return SolveResult(len(vertices), witness, solver.nodes)
+    return SolveResult(size, witness, solver.nodes)
+
+
+def optimum(instance: Instance) -> int:
+    """Size of a largest monochromatic clique / transitive set: the witness
+    solvers' searches and size caps, without their witness loop."""
+    return (_clique_optimum if instance.FAMILY == "bichrome" else _transitive_optimum)(instance)[0]
 
 
 # ---------------------------------------------------------------------------

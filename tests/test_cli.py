@@ -343,6 +343,48 @@ def test_verify_accepts_valid_and_rejects_tampered(tmp_path):
     assert "ceiling" in out  # the violated invariant is named
 
 
+@pytest.mark.parametrize(
+    "spec, stem, lines",
+    [
+        (
+            ["matching", "--n", "6", "--m", "4"],
+            "matching_n6_m4",
+            [
+                "  violated: m-accounting: instance has m=4, claimed 5",
+                "  violated: ceiling: solver optimum 4 exceeds claimed 3",
+                "  violated: equality: solver optimum 4 != claimed 3",
+            ],
+        ),
+        (
+            ["packing", "--n", "9", "--k", "2"],
+            "packing_n9_k2",
+            [
+                "  violated: m-accounting: instance has m=9, claimed 10",
+                "  violated: ceiling: solver optimum 6 exceeds claimed 5",
+                "  violated: equality: solver optimum 6 != claimed 5",
+            ],
+        ),
+    ],
+    ids=["coloring", "digraph"],
+)
+def test_verify_output_on_a_tampered_certificate_is_pinned(tmp_path, spec, stem, lines):
+    run_cli(["construct", *spec, "--out", str(tmp_path)])
+    cert = tmp_path / f"{stem}.cert.json"
+    payload = json.loads(cert.read_text())
+    payload["claimed_m"] += 1
+    payload["claimed_bound"] -= 1
+    tampered = tmp_path / "tampered.cert.json"
+    tampered.write_text(json.dumps(payload))
+    construction = spec[0]
+    code, out, err = run_cli(["verify", str(cert), str(tampered)])
+    assert (code, err) == (1, "")
+    assert out == "\n".join([
+        f"cert={cert} construction={construction} VERIFIED",
+        f"cert={tampered} construction={construction} FAILED",
+        *lines,
+    ]) + "\n"
+
+
 def test_atlas_small_grid_has_no_violations():
     code, out, _ = run_cli(["atlas", "--n-max", "4"])
     assert code == 0

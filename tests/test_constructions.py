@@ -247,6 +247,32 @@ def test_verify_claims_detects_tampering():
     assert any("equality" in f for f in verify_claims(cert.instance, 9, 7, True))
 
 
+@pytest.mark.parametrize(
+    "cert, optimum",
+    [(matching_coloring(6, 4), 4), (triangle_digraph(9, 9), 6)],
+    ids=["coloring", "digraph"],
+)
+def test_verify_claims_failure_strings_are_pinned(cert, optimum):
+    m = cert.claimed_m
+    assert cert.claimed_bound == optimum
+    assert verify_claims(cert.instance, m, optimum, True) == []
+    assert verify_claims(cert.instance, m - 1, optimum, False) == [
+        f"m-accounting: instance has m={m}, claimed {m - 1}",
+    ]
+    assert verify_claims(cert.instance, m, optimum - 1, False) == [
+        f"ceiling: solver optimum {optimum} exceeds claimed {optimum - 1}",
+    ]
+    assert verify_claims(cert.instance, m, optimum + 1, True) == [
+        f"equality: solver optimum {optimum} != claimed {optimum + 1}",
+    ]
+    # every violated invariant, in this order
+    assert verify_claims(cert.instance, m + 1, optimum - 1, True) == [
+        f"m-accounting: instance has m={m}, claimed {m + 1}",
+        f"ceiling: solver optimum {optimum} exceeds claimed {optimum - 1}",
+        f"equality: solver optimum {optimum} != claimed {optimum - 1}",
+    ]
+
+
 # --- builders that are parameterisations of each other ------------------------
 
 

@@ -2,6 +2,7 @@
 
 import heapq
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biramsey.constructions import lex_clique_packing, triangle_digraph
+from biramsey.constructions import (
+    blowup,
+    lex_clique_packing,
+    mixed_digraph,
+    tournament_packing,
+    triangle_digraph,
+)
 from biramsey.model import (
     ArcState,
     BicoloredGraph,
@@ -43,6 +50,7 @@ from biramsey.solvers import (
     max_mono_clique_by_enumeration,
     max_transitive_set,
     max_transitive_set_by_enumeration,
+    optimum,
     oracle_budget_estimate,
     verify_witness,
 )
@@ -528,7 +536,8 @@ def test_lex_min_subset_is_the_first_subset_in_list_order(data):
                     return target
             return floor
 
-    assert _lex_min_subset(vertices, target, IndependentSets()) == sum(1 << v for v in targets[0])
+    solver = IndependentSets()
+    assert _lex_min_subset(vertices, target, solver, solver.found) == sum(1 << v for v in targets[0])
 
 
 def _into_mask_sizes(n, forward, backward, cap):
@@ -680,17 +689,52 @@ def test_clique_of_the_mapped_coloring_is_at_most_the_transitive_set(d):
 
 
 def test_size_caps(monkeypatch):
-    # one vertex over each cap is refused before any search starts
+    # one vertex over each cap is refused before any search starts, by the
+    # witness solvers and by optimum alike
     monkeypatch.setattr(solvers, "_CliqueSolver", None)
     monkeypatch.setattr(solvers, "_AcyclicSolver", None)
     n = CLIQUE_SIZE_CAP + 1
     g = BicoloredGraph(n, bytes([EdgeColor.RED.code]) * pair_count(n))
-    with pytest.raises(SizeLimitExceeded, match=f"n={n} exceeds clique solver cap"):
-        max_mono_clique(g)
+    for solve in (max_mono_clique, optimum):
+        with pytest.raises(SizeLimitExceeded, match=f"^n={n} exceeds clique solver cap {CLIQUE_SIZE_CAP}$"):
+            solve(g)
     n = TRANSITIVE_SIZE_CAP + 1
     d = SemicompleteDigraph(n, bytes([ArcState.BIORIENTED.code]) * pair_count(n))
-    with pytest.raises(SizeLimitExceeded, match=f"n={n} exceeds transitive solver cap"):
-        max_transitive_set(d)
+    for solve in (max_transitive_set, optimum):
+        with pytest.raises(SizeLimitExceeded, match=f"^n={n} exceeds transitive solver cap {TRANSITIVE_SIZE_CAP}$"):
+            solve(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([BicoloredGraph, SemicompleteDigraph]).flatmap(
+    lambda kind: _small_instances(kind, n_max=9)
+))
+def test_optimum_is_the_witness_size_and_the_enumerated_maximum(instance):
+    if isinstance(instance, BicoloredGraph):
+        solve, enumerate_ = max_mono_clique, max_mono_clique_by_enumeration
+    else:
+        solve, enumerate_ = max_transitive_set, max_transitive_set_by_enumeration
+    assert optimum(instance) == solve(instance).size == enumerate_(instance)
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [tournament_packing(39, 4), blowup(40, 4), mixed_digraph(40, 3, Fraction(1, 2))],
+    ids=["tournament_packing-39-4", "blowup-40-4", "mixed_digraph-40-3"],
+)
+def test_optimum_on_digraphs_of_many_components(cert):
+    # cycles never cross strongly connected components, so the optimum is
+    # the sum of each component's maximum, enumerated over its subsets
+    from biramsey.solvers import _one_way_out_masks, _strongly_connected_components, _transpose
+
+    d = cert.instance
+    out = _one_way_out_masks(d)
+    every = (1 << d.n) - 1
+    comps = _strongly_connected_components(out, _transpose(out, every), every)
+    assert sum(comp & (comp - 1) != 0 for comp in comps) >= 2
+    total = sum(_max_by_enumeration(lambda s: _subset_is_acyclic(s, out), comp, 0) for comp in comps)
+    assert optimum(d) == max_transitive_set(d).size == total
+    assert total <= cert.claimed_bound
 
 
 # --- witness checking --------------------------------------------------------
